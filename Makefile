@@ -25,6 +25,7 @@ race:
 # The gate CI runs: static checks plus the race-enabled suite.
 check:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./...
 
 # Short fuzz runs for CI: each native fuzz target gets a brief budget
@@ -103,14 +104,14 @@ snap-smoke:
 # at a different parallelism, and require the final reports to be
 # byte-identical to uninterrupted runs.
 resume-smoke:
-	./scripts/resume_smoke.sh
+	./scripts/journal_smoke.sh resume
 
 # Design-space-explorer smoke: SIGKILL a journaled exploration at ~50%,
 # resume it at a different parallelism, and require the frontier CSV
 # and printed report to be byte-identical to an uninterrupted run's —
 # plus a straight determinism check across -parallel values.
 explore-smoke:
-	./scripts/explore_smoke.sh
+	./scripts/journal_smoke.sh explore
 
 # Simulation-service smoke: start diag-server on an ephemeral port,
 # submit the same run twice (second must be a cache hit with a

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"diag/internal/cliutil"
+	idiag "diag/internal/diag"
 	"diag/internal/exp"
 	"diag/internal/explore"
 )
@@ -121,10 +122,10 @@ func main() {
 			fmt.Fprintln(w)
 		}
 		fmt.Fprint(w, f.Table(*top))
-		for _, paper := range []string{"I4C2", "F4C2", "F4C16", "F4C32"} {
-			if pt, ok := f.Named(paper); ok {
+		for _, paper := range idiag.Table2Configs() {
+			if pt, ok := f.Named(paper.Name); ok {
 				fmt.Fprintf(w, "%s: paper point %s on the frontier: %d cycles, %.3f mm^2, %.3e J\n",
-					f.Workload, paper, pt.Cycles, pt.AreaUM2/1e6, pt.EnergyJ)
+					f.Workload, paper.Name, pt.Cycles, pt.AreaUM2/1e6, pt.EnergyJ)
 			}
 		}
 	}

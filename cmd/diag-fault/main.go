@@ -30,19 +30,16 @@ import (
 	"strings"
 	"time"
 
-	"diag/internal/asm"
+	"diag"
 	"diag/internal/cliutil"
-	"diag/internal/diag"
 	"diag/internal/fault"
-	"diag/internal/mem"
 	"diag/internal/obsv"
-	"diag/internal/ooo"
 	"diag/internal/workloads"
 )
 
 func main() {
 	core := cliutil.Flags(flag.CommandLine)
-	machine := flag.String("machine", "F4C2", "I4C2, F4C2, F4C16, F4C32, or ooo")
+	machine := flag.String("machine", "F4C2", strings.Join(diag.Machines("diag", "ooo"), ", "))
 	sites := flag.String("sites", "", "comma-separated site classes (lane,flane,pc,ibuf,enable,mem,rob,iq; default: all the machine has)")
 	n := flag.Int("n", 100, "number of faulted trials")
 	warmup := flag.Uint64("warmup", 0, "checkpoint the unfaulted machine after N retired instructions and fork eligible trials from it (0 = off; the report is identical either way)")
@@ -57,25 +54,27 @@ func main() {
 	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 
-	img, label, err := buildProgram(*workload, workloads.Params{Scale: *scale})
+	img, label, _, err := cliutil.LoadProgram(flag.CommandLine, "workload", *workload, workloads.Params{Scale: *scale})
 	if err != nil {
 		fatal(err)
 	}
 
 	if *degrade >= 0 {
-		if strings.EqualFold(*machine, "ooo") {
-			fatal(fmt.Errorf("-degrade needs a DiAG machine (clusters to fuse off)"))
+		// Degraded mode fuses off clusters, which only DiAG machines have.
+		m, err := diag.MachineByName(*machine, "diag")
+		if err != nil {
+			fatal(fmt.Errorf("-degrade: %w", err))
 		}
-		cfg, err := diagConfig(*machine)
+		points, err := fault.Degradation(ctx, *m.DiAG, img, *degrade, *core.Parallel)
 		if err != nil {
 			fatal(err)
 		}
-		points, err := fault.Degradation(ctx, cfg, img, *degrade, *core.Parallel)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(fault.DegradationTable(cfg.Name, points))
+		fmt.Print(fault.DegradationTable(m.Name, points))
 		return
+	}
+	m, err := diag.MachineByName(*machine, "diag", "ooo")
+	if err != nil {
+		fatal(err)
 	}
 
 	c := &fault.Campaign{
@@ -86,16 +85,8 @@ func main() {
 		Timeout: *core.Timeout,
 		Warmup:  *warmup,
 		Retry:   core.Retry(),
-	}
-	if strings.EqualFold(*machine, "ooo") {
-		cfg := ooo.Baseline()
-		c.OoO = &cfg
-	} else {
-		cfg, err := diagConfig(*machine)
-		if err != nil {
-			fatal(err)
-		}
-		c.DiAG = &cfg
+		DiAG:    m.DiAG,
+		OoO:     m.Baseline,
 	}
 	if *sites != "" {
 		c.Sites, err = fault.ParseClasses(*sites)
@@ -192,44 +183,6 @@ func replayWithTrace(ctx context.Context, c *fault.Campaign, rep *fault.Report, 
 	fmt.Fprintf(os.Stderr, "diag-fault: replayed trial %d (%s -> %s) with tracing: %s (%d events)\n",
 		trial, t.Fault, t.Outcome, path, col.Total())
 	return nil
-}
-
-func buildProgram(name string, p workloads.Params) (*mem.Image, string, error) {
-	if name != "" {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			names := make([]string, 0, 20)
-			for _, w := range workloads.All() {
-				names = append(names, w.Name)
-			}
-			return nil, "", fmt.Errorf("unknown workload %q (have: %s)", name, strings.Join(names, ", "))
-		}
-		img, err := w.Build(p)
-		return img, name, err
-	}
-	if flag.NArg() != 1 {
-		return nil, "", fmt.Errorf("usage: diag-fault [flags] prog.s  (or -workload NAME)")
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		return nil, "", err
-	}
-	img, err := asm.Assemble(string(src))
-	return img, flag.Arg(0), err
-}
-
-func diagConfig(name string) (diag.Config, error) {
-	switch strings.ToUpper(name) {
-	case "I4C2":
-		return diag.I4C2(), nil
-	case "F4C2":
-		return diag.F4C2(), nil
-	case "F4C16":
-		return diag.F4C16(), nil
-	case "F4C32":
-		return diag.F4C32(), nil
-	}
-	return diag.Config{}, fmt.Errorf("unknown machine %q", name)
 }
 
 func fatal(err error) {

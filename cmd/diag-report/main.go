@@ -14,9 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"diag/internal/bench"
+	"diag"
 	"diag/internal/cliutil"
-	"diag/internal/diag"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 	t1 := flag.Bool("table1", false, "Table 1: stage comparison with an OoO processor")
 	t2 := flag.Bool("table2", false, "Table 2: evaluated configurations")
 	t3 := flag.Bool("table3", false, "Table 3: area and power breakdown")
-	org := flag.String("org", "", "Figure 8-style organization dump of a configuration")
+	org := flag.String("org", "", "Figure 8-style organization dump of a configuration: "+strings.Join(diag.Machines("diag"), ", "))
 	flag.Parse()
 
 	w, err := core.Output()
@@ -36,15 +35,15 @@ func main() {
 
 	any := false
 	if *t1 {
-		fmt.Fprintln(w, bench.Table1())
+		fmt.Fprintln(w, diag.Table1())
 		any = true
 	}
 	if *t2 {
-		fmt.Fprintln(w, bench.Table2())
+		fmt.Fprintln(w, diag.Table2())
 		any = true
 	}
 	if *t3 {
-		fmt.Fprintln(w, bench.Table3())
+		fmt.Fprintln(w, diag.Table3())
 		any = true
 	}
 	if *org != "" {
@@ -63,19 +62,11 @@ func main() {
 // dumpOrg prints the machine hierarchy of Figure 8: rings containing
 // clusters containing PEs, with the memory system underneath.
 func dumpOrg(w io.Writer, name string) error {
-	var cfg diag.Config
-	switch strings.ToUpper(name) {
-	case "I4C2":
-		cfg = diag.I4C2()
-	case "F4C2":
-		cfg = diag.F4C2()
-	case "F4C16":
-		cfg = diag.F4C16()
-	case "F4C32":
-		cfg = diag.F4C32()
-	default:
-		return fmt.Errorf("unknown configuration %q", name)
+	m, err := diag.MachineByName(name, "diag")
+	if err != nil {
+		return fmt.Errorf("-org: %w", err)
 	}
+	cfg := *m.DiAG
 	fmt.Fprintf(w, "%s — %s, %d MHz, %d PEs total\n", cfg.Name, cfg.ISA, cfg.FreqMHz, cfg.TotalPEs())
 	for r := 0; r < cfg.Rings; r++ {
 		fmt.Fprintf(w, "└─ dataflow ring %d (control unit, 512-bit bus)\n", r)

@@ -4,33 +4,35 @@
 //
 // Usage:
 //
-//	diag-run [-machine F4C16] [-rings N] prog.s
+//	diag-run [-machine F4C16] [-rings N] [-prefetch] [-shared-fpus N] [-spec-datapaths] prog.s
 //	diag-run -workload hotspot [-scale 2] [-threads 4] [-simt] [-machine F4C32]
 //	diag-run -workload mcf -machine ooo [-cores 12]
+//
+// -rings, -prefetch, -shared-fpus and -spec-datapaths apply to DiAG
+// machines only, and -cores > 1 to the ooo baseline only; giving one
+// to the other kind of machine is an error.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
-	"diag/internal/asm"
+	"diag"
 	"diag/internal/cliutil"
-	"diag/internal/diag"
-	"diag/internal/mem"
-	"diag/internal/ooo"
-	"diag/internal/power"
-	"diag/internal/trace"
 	"diag/internal/workloads"
 )
 
+// Machine kinds diag-run can run: it has no report for the untimed ISS.
+var runKinds = []string{"diag", "ooo"}
+
 func main() {
 	core := cliutil.Flags(flag.CommandLine)
-	machine := flag.String("machine", "F4C16", "I4C2, F4C2, F4C16, F4C32, or ooo")
+	machine := flag.String("machine", "F4C16", strings.Join(diag.Machines(runKinds...), ", "))
 	rings := flag.Int("rings", 0, "reshape the DiAG machine into N rings x 2 clusters")
 	cores := flag.Int("cores", 1, "baseline core count (machine=ooo)")
 	workload := flag.String("workload", "", "run a named benchmark instead of a file")
@@ -46,107 +48,98 @@ func main() {
 	maxCycles := flag.Int64("max-cycles", 0, "simulated-cycle budget for the run (0 = none)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 	ctx, cancel := core.Context(ctx)
 	defer cancel()
 
-	img, check, err := buildProgram(*workload, workloads.Params{Scale: *scale, Threads: *threads, SIMT: *simt})
+	img, _, check, err := cliutil.LoadProgram(flag.CommandLine, "workload", *workload,
+		workloads.Params{Scale: *scale, Threads: *threads, SIMT: *simt})
 	if err != nil {
 		fatal(err)
+	}
+	m, err := diag.MachineByName(*machine, runKinds...)
+	if err != nil {
+		fatal(err)
+	}
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+
+	// Resolve the target, its energy model, and its text report.
+	var t diag.Target
+	var energy func(*diag.Result) diag.EnergyBreakdown
+	var report func(*diag.Result, *diag.EnergyBreakdown)
+	if m.Baseline != nil {
+		for _, name := range []string{"rings", "prefetch", "shared-fpus", "spec-datapaths"} {
+			if given[name] {
+				fatal(fmt.Errorf("-%s applies to DiAG machines, not %s", name, m.Name))
+			}
+		}
+		cfg := *m.Baseline
+		if *cores > 1 {
+			cfg = diag.BaselineMulticore(*cores)
+		}
+		t = diag.OoO(cfg)
+		energy = func(r *diag.Result) diag.EnergyBreakdown { return diag.BaselineEnergy(cfg, *r.Baseline, 2000) }
+		report = func(r *diag.Result, e *diag.EnergyBreakdown) { printBaseline(cfg, *r.Baseline, e) }
+	} else {
+		if *cores > 1 {
+			fatal(fmt.Errorf("-cores applies to the ooo baseline, not %s", m.Name))
+		}
+		cfg := *m.DiAG
+		if *rings > 0 {
+			cfg = diag.MultiRing(cfg, *rings, 2)
+		}
+		cfg.StridePrefetch = *prefetch
+		cfg.SharedFPUs = *sharedFPUs
+		cfg.SpeculativeDatapaths = *spec
+		if *workload != "" && *threads > 1 && cfg.Rings < *threads {
+			fmt.Fprintf(os.Stderr, "note: %d threads on %d ring(s); extra threads never run\n", *threads, cfg.Rings)
+		}
+		t = diag.DiAG(cfg)
+		energy = func(r *diag.Result) diag.EnergyBreakdown { return diag.Energy(cfg, *r.DiAG) }
+		report = func(r *diag.Result, e *diag.EnergyBreakdown) { printDiAG(cfg, *r.DiAG, e) }
 	}
 
-	if strings.EqualFold(*machine, "ooo") {
-		runBaseline(ctx, img, check, *cores, *core.Shards, *maxCycles, *showEnergy)
-		return
-	}
-	cfg, err := diagConfig(*machine)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.MaxCycles = *maxCycles
-	if *rings > 0 {
-		cfg = diag.MultiRing(cfg, *rings, 2)
-	}
-	cfg.StridePrefetch = *prefetch
-	cfg.SharedFPUs = *sharedFPUs
-	cfg.SpeculativeDatapaths = *spec
-	if *workload != "" && *threads > 1 && cfg.Rings < *threads {
-		fmt.Fprintf(os.Stderr, "note: %d threads on %d ring(s); extra threads never run\n", *threads, cfg.Rings)
-	}
-	mach, err := diag.NewMachine(cfg, img)
-	if err != nil {
-		fatal(err)
-	}
-	mach.SetShards(*core.Shards)
-	var rec *trace.Recorder
+	var trace bytes.Buffer
+	opts := []diag.RunOption{diag.WithContext(ctx), diag.WithMaxCycles(*maxCycles), diag.WithShards(*core.Shards)}
 	if *traceN > 0 {
-		rec = trace.NewRecorder(*traceN)
-		mach.Ring(0).CPU().Hook = rec.Record
+		opts = append(opts, diag.WithTrace(&trace), diag.WithTraceDepth(*traceN))
 	}
-	if err := mach.RunContext(ctx); err != nil {
+	res, err := t.Run(img, opts...)
+	if err != nil {
 		fatal(err)
 	}
-	st, m := mach.Stats(), mach.Mem()
 	if check != nil {
-		if err := check(m); err != nil {
+		if err := check(res.Mem); err != nil {
 			fatal(fmt.Errorf("result check failed: %w", err))
 		}
 		if !*asJSON {
 			fmt.Println("result check: ok")
 		}
 	}
+	e := energy(res)
 	if *asJSON {
-		emitJSON(cfg.Name, st, power.DiAGEnergy(cfg, st))
+		var stats any = res.DiAG
+		if res.Baseline != nil {
+			stats = res.Baseline
+		}
+		emitJSON(res.Machine, stats, e)
 		return
 	}
-	printDiAG(cfg, st, *showEnergy)
-	if rec != nil {
+	var shown *diag.EnergyBreakdown
+	if *showEnergy {
+		shown = &e
+	}
+	report(res, shown)
+	if trace.Len() > 0 {
 		fmt.Println()
-		fmt.Print(rec.MixSummary())
-		fmt.Print(rec.Format())
+		trace.WriteTo(os.Stdout)
 	}
 }
 
-func buildProgram(name string, p workloads.Params) (*mem.Image, func(*mem.Memory) error, error) {
-	if name != "" {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			names := make([]string, 0, 20)
-			for _, w := range workloads.All() {
-				names = append(names, w.Name)
-			}
-			return nil, nil, fmt.Errorf("unknown workload %q (have: %s)", name, strings.Join(names, ", "))
-		}
-		img, err := w.Build(p)
-		return img, func(m *mem.Memory) error { return w.Check(m, p) }, err
-	}
-	if flag.NArg() != 1 {
-		return nil, nil, fmt.Errorf("usage: diag-run [flags] prog.s  (or -workload NAME)")
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := asm.Assemble(string(src))
-	return img, nil, err
-}
-
-func diagConfig(name string) (diag.Config, error) {
-	switch strings.ToUpper(name) {
-	case "I4C2":
-		return diag.I4C2(), nil
-	case "F4C2":
-		return diag.F4C2(), nil
-	case "F4C16":
-		return diag.F4C16(), nil
-	case "F4C32":
-		return diag.F4C32(), nil
-	}
-	return diag.Config{}, fmt.Errorf("unknown machine %q", name)
-}
-
-func printDiAG(cfg diag.Config, st diag.Stats, energy bool) {
+// printDiAG prints a DiAG run's report; e is nil when energy is hidden.
+func printDiAG(cfg diag.Config, st diag.Stats, e *diag.EnergyBreakdown) {
 	fmt.Printf("machine:   %s (%d PEs, %d ring(s) x %d clusters x %d PEs)\n",
 		cfg.Name, cfg.TotalPEs(), cfg.Rings, cfg.Clusters, cfg.PEsPerCluster)
 	fmt.Printf("cycles:    %d   retired: %d   IPC: %.3f\n", st.Cycles, st.Retired, st.IPC())
@@ -165,55 +158,37 @@ func printDiAG(cfg diag.Config, st diag.Stats, energy bool) {
 	}
 	fmt.Printf("caches:    L1I %.1f%% miss   L1D %.1f%% miss   L2 %.1f%% miss   DRAM %d\n",
 		100*st.L1I.MissRate(), 100*st.L1D.MissRate(), 100*st.L2.MissRate(), st.DRAMAccesses)
-	if energy {
-		e := power.DiAGEnergy(cfg, st)
-		sh := e.Share()
-		fmt.Printf("energy:    %.3g J  (FP %.0f%%, lanes+ALU %.0f%%, memory %.0f%%, control %.0f%%)\n",
-			e.Total(), 100*sh[0], 100*sh[1], 100*sh[2], 100*sh[3])
-	}
+	printEnergy(e, "lanes+ALU")
 }
 
-func runBaseline(ctx context.Context, img *mem.Image, check func(*mem.Memory) error, cores, shards int, maxCycles int64, energy bool) {
-	cfg := ooo.Baseline()
-	if cores > 1 {
-		cfg = ooo.BaselineMulticore(cores)
-	}
-	cfg.MaxCycles = maxCycles
-	mach, err := ooo.NewMachine(cfg, img)
-	if err != nil {
-		fatal(err)
-	}
-	mach.SetShards(shards)
-	if err := mach.RunContext(ctx); err != nil {
-		fatal(err)
-	}
-	st, m := mach.Stats(), mach.Mem()
-	if check != nil {
-		if err := check(m); err != nil {
-			fatal(fmt.Errorf("result check failed: %w", err))
-		}
-		fmt.Println("result check: ok")
-	}
+// printBaseline prints an out-of-order run's report; e is nil when
+// energy is hidden.
+func printBaseline(cfg diag.BaselineConfig, st diag.BaselineStats, e *diag.EnergyBreakdown) {
 	fmt.Printf("machine:   %s (%d core(s), %d-wide)\n", cfg.Name, cfg.Cores, cfg.IssueWidth)
 	fmt.Printf("cycles:    %d   retired: %d   IPC: %.3f\n", st.Cycles, st.Retired, st.IPC())
 	fmt.Printf("branches:  %d (%.2f%% mispredicted)\n", st.Branches, 100*st.MispredictRate())
 	fmt.Printf("caches:    L1I %.1f%% miss   L1D %.1f%% miss   L2 %.1f%% miss   DRAM %d\n",
 		100*st.L1I.MissRate(), 100*st.L1D.MissRate(), 100*st.L2.MissRate(), st.DRAMAccesses)
-	if energy {
-		e := power.OoOEnergy(cfg, st, 2000)
-		sh := e.Share()
-		fmt.Printf("energy:    %.3g J  (FP %.0f%%, datapath %.0f%%, memory %.0f%%, control %.0f%%)\n",
-			e.Total(), 100*sh[0], 100*sh[1], 100*sh[2], 100*sh[3])
+	printEnergy(e, "datapath")
+}
+
+// printEnergy prints the energy line; datapath names the second share.
+func printEnergy(e *diag.EnergyBreakdown, datapath string) {
+	if e == nil {
+		return
 	}
+	sh := e.Share()
+	fmt.Printf("energy:    %.3g J  (FP %.0f%%, %s %.0f%%, memory %.0f%%, control %.0f%%)\n",
+		e.Total(), 100*sh[0], datapath, 100*sh[1], 100*sh[2], 100*sh[3])
 }
 
 // emitJSON prints one run's stats and energy as a JSON object.
-func emitJSON(machine string, stats any, energy power.Breakdown) {
+func emitJSON(machine string, stats any, energy diag.EnergyBreakdown) {
 	out := struct {
-		Machine string          `json:"machine"`
-		Stats   any             `json:"stats"`
-		Energy  power.Breakdown `json:"energy"`
-		Joules  float64         `json:"joules"`
+		Machine string               `json:"machine"`
+		Stats   any                  `json:"stats"`
+		Energy  diag.EnergyBreakdown `json:"energy"`
+		Joules  float64              `json:"joules"`
 	}{machine, stats, energy, energy.Total()}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

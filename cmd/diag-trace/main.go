@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
 	"diag"
@@ -40,7 +39,7 @@ import (
 
 func main() {
 	core := cliutil.Flags(flag.CommandLine)
-	machine := flag.String("machine", "F4C2", "I4C2, F4C2, F4C16, F4C32, or ooo")
+	machine := flag.String("machine", "F4C2", strings.Join(diag.Machines("diag", "ooo"), ", "))
 	kernel := flag.String("kernel", "", "run a named benchmark kernel instead of a file")
 	scale := flag.Int("scale", 1, "kernel problem-size knob")
 	csvOut := flag.String("csv", "", "write the occupancy timeseries CSV here")
@@ -73,12 +72,12 @@ func main() {
 		fatal(fmt.Errorf("nothing to do: pass -o, -csv, or -summary"))
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := cliutil.SignalContext(context.Background())
 	defer stop()
 	ctx, cancel := core.Context(ctx)
 	defer cancel()
 
-	img, label, err := buildProgram(*kernel, workloads.Params{Scale: *scale})
+	img, label, _, err := cliutil.LoadProgram(flag.CommandLine, "kernel", *kernel, workloads.Params{Scale: *scale})
 	if err != nil {
 		fatal(err)
 	}
@@ -87,21 +86,20 @@ func main() {
 	reg := obsv.NewRegistry(*sample)
 	obs := obsv.Tee(col, reg)
 
+	m, err := diag.MachineByName(*machine, "diag", "ooo")
+	if err != nil {
+		fatal(err)
+	}
 	var target diag.Target
 	var unitNames []string
-	if strings.EqualFold(*machine, "ooo") {
-		cfg := diag.Baseline()
-		target = diag.OoO(cfg)
-		for i := 0; i < cfg.Cores; i++ {
+	if m.Baseline != nil {
+		target = diag.OoO(*m.Baseline)
+		for i := 0; i < m.Baseline.Cores; i++ {
 			unitNames = append(unitNames, fmt.Sprintf("core %d", i))
 		}
 	} else {
-		cfg, err := diagConfig(*machine)
-		if err != nil {
-			fatal(err)
-		}
-		target = diag.DiAG(cfg)
-		for i := 0; i < cfg.Rings; i++ {
+		target = diag.DiAG(*m.DiAG)
+		for i := 0; i < m.DiAG.Rings; i++ {
 			unitNames = append(unitNames, fmt.Sprintf("ring %d", i))
 		}
 	}
@@ -196,44 +194,6 @@ func run(ctx context.Context, t diag.Target, img *diag.Program, fromCycle, maxCy
 		return t.Run(img, opts(diag.WithObserver(obs))...)
 	}
 	return t.Resume(nearest, opts(diag.WithObserver(obs))...)
-}
-
-func buildProgram(name string, p workloads.Params) (*diag.Program, string, error) {
-	if name != "" {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			names := make([]string, 0, 20)
-			for _, w := range workloads.All() {
-				names = append(names, w.Name)
-			}
-			return nil, "", fmt.Errorf("unknown kernel %q (have: %s)", name, strings.Join(names, ", "))
-		}
-		img, err := w.Build(p)
-		return img, name, err
-	}
-	if flag.NArg() != 1 {
-		return nil, "", fmt.Errorf("usage: diag-trace [flags] prog.s  (or -kernel NAME)")
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		return nil, "", err
-	}
-	img, err := diag.Assemble(string(src))
-	return img, flag.Arg(0), err
-}
-
-func diagConfig(name string) (diag.Config, error) {
-	switch strings.ToUpper(name) {
-	case "I4C2":
-		return diag.I4C2(), nil
-	case "F4C2":
-		return diag.F4C2(), nil
-	case "F4C16":
-		return diag.F4C16(), nil
-	case "F4C32":
-		return diag.F4C32(), nil
-	}
-	return diag.Config{}, fmt.Errorf("unknown machine %q", name)
 }
 
 func fatal(err error) {

@@ -31,7 +31,7 @@
 //
 // To compare against the out-of-order baseline:
 //
-//	base, _, err := diag.RunBaseline(diag.Baseline(), img)
+//	base, err := diag.OoO(diag.Baseline()).Run(img)
 //	speedup := float64(base.Cycles) / float64(st.Cycles)
 //
 // To regenerate a paper figure (serially, or in parallel with a
@@ -47,7 +47,7 @@
 //
 //	results, err := diag.Sweep(ctx, []diag.SweepJob{
 //	    diag.SimJob("loop/F4C16", diag.F4C16(), img),
-//	    diag.BaselineJob("loop/OoO", diag.Baseline(), img),
+//	    diag.TargetJob("loop/OoO", diag.OoO(diag.Baseline()), img),
 //	}, diag.SweepOptions{})
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -160,27 +160,6 @@ func Baseline() BaselineConfig { return ooo.Baseline() }
 
 // BaselineMulticore returns the paper's 12-core baseline.
 func BaselineMulticore(cores int) BaselineConfig { return ooo.BaselineMulticore(cores) }
-
-// RunBaseline executes p on the out-of-order baseline. It accepts the
-// same options and returns the same error taxonomy as Run.
-//
-// Deprecated: Use OoO(cfg).Run(p, opts...) — the Target API unifies the
-// baseline with the DiAG machine and the ISS and adds
-// checkpoint/restore.
-func RunBaseline(cfg BaselineConfig, p *Program, opts ...RunOption) (BaselineStats, *Memory, error) {
-	res, err := OoO(cfg).Run(p, opts...)
-	if err != nil {
-		return BaselineStats{}, nil, err
-	}
-	return *res.Baseline, res.Mem, nil
-}
-
-// RunBaselineContext is RunBaseline with a leading context.
-//
-// Deprecated: Use OoO(cfg).Run(p, append(opts, WithContext(ctx))...).
-func RunBaselineContext(ctx context.Context, cfg BaselineConfig, p *Program, opts ...RunOption) (BaselineStats, *Memory, error) {
-	return RunBaseline(cfg, p, append(opts, WithContext(ctx))...)
-}
 
 // ---- Reference execution ----
 

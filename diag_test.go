@@ -1,7 +1,6 @@
 package diag_test
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,22 +39,10 @@ func TestPublicAssembleRun(t *testing.T) {
 	}
 }
 
-// TestPublicBaselineComparison keeps exercising the deprecated
-// RunBaseline/RunBaselineContext wrappers: they must stay thin
-// delegates of the OoO target with identical results.
+// TestPublicBaselineComparison runs the same program on the
+// out-of-order baseline through the Target API.
 func TestPublicBaselineComparison(t *testing.T) {
 	img, err := diag.Assemble(tinyLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, m, err := diag.RunBaseline(diag.Baseline(), img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.LoadWord(0x700) != 50 || b.Cycles <= 0 {
-		t.Error("baseline run wrong")
-	}
-	b2, _, err := diag.RunBaselineContext(context.Background(), diag.Baseline(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +50,8 @@ func TestPublicBaselineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != b2 || b != *res.Baseline {
-		t.Error("deprecated wrappers diverge from the OoO target")
+	if res.Mem.LoadWord(0x700) != 50 || res.Cycles <= 0 || res.Baseline.Cycles != res.Cycles {
+		t.Error("baseline run wrong")
 	}
 }
 

@@ -117,19 +117,6 @@ func FaultCampaign(ctx context.Context, cfg Config, p *Program, opts ...FaultOpt
 	return c.Run(ctx)
 }
 
-// FaultCampaignBaseline is FaultCampaign on the out-of-order baseline
-// (cfg must be single-core).
-//
-// Deprecated: Use FaultCampaignOn(ctx, OoO(cfg), p, opts...) — the
-// Target API runs campaigns on any timing machine.
-func FaultCampaignBaseline(ctx context.Context, cfg BaselineConfig, p *Program, opts ...FaultOption) (*FaultReport, error) {
-	c := &fault.Campaign{Image: p, OoO: &cfg}
-	for _, o := range opts {
-		o(c)
-	}
-	return c.Run(ctx)
-}
-
 // FaultReplay re-runs one trial of a finished DiAG campaign with a
 // cycle-level observer attached, so a surprising outcome — an SDC, a
 // hang — can be examined event by event (typically by exporting an
@@ -138,18 +125,6 @@ func FaultCampaignBaseline(ctx context.Context, cfg BaselineConfig, p *Program, 
 // budgets, and classification are then identical to rep.Trials[trial].
 func FaultReplay(ctx context.Context, cfg Config, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
 	c := &fault.Campaign{Image: p, DiAG: &cfg}
-	for _, o := range opts {
-		o(c)
-	}
-	return c.Replay(ctx, rep, trial, obs)
-}
-
-// FaultReplayBaseline is FaultReplay on the out-of-order baseline.
-//
-// Deprecated: Use FaultReplayOn(ctx, OoO(cfg), p, rep, trial, obs,
-// opts...) — the Target API replays trials on any timing machine.
-func FaultReplayBaseline(ctx context.Context, cfg BaselineConfig, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
-	c := &fault.Campaign{Image: p, OoO: &cfg}
 	for _, o := range opts {
 		o(c)
 	}

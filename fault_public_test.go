@@ -56,8 +56,8 @@ func TestFaultCampaignPublicAPI(t *testing.T) {
 		t.Fatal("fixed-seed campaign not reproducible across worker counts")
 	}
 
-	// The baseline accepts the same options, through the Target entry
-	// point and its deprecated wrapper alike.
+	// The baseline accepts the same options through the Target entry
+	// point.
 	brep, err := diag.FaultCampaignOn(context.Background(), diag.OoO(diag.Baseline()), img,
 		diag.WithFaultTrials(10), diag.WithFaultSeed(7))
 	if err != nil {
@@ -65,14 +65,6 @@ func TestFaultCampaignPublicAPI(t *testing.T) {
 	}
 	if len(brep.Trials) != 10 {
 		t.Fatalf("baseline: got %d trials, want 10", len(brep.Trials))
-	}
-	brep2, err := diag.FaultCampaignBaseline(context.Background(), diag.Baseline(), img,
-		diag.WithFaultTrials(10), diag.WithFaultSeed(7))
-	if err != nil {
-		t.Fatalf("FaultCampaignBaseline: %v", err)
-	}
-	if brep.Table() != brep2.Table() {
-		t.Fatal("deprecated FaultCampaignBaseline diverges from FaultCampaignOn")
 	}
 }
 

@@ -646,7 +646,7 @@ func Table1() *stats.Table {
 func Table2() *stats.Table {
 	t := stats.NewTable("Table 2: DiAG configurations used for evaluation",
 		"Configuration", "ISA", "PEs/Cluster", "Clusters", "Total PEs", "Freq (MHz)", "L1I", "L1D", "L2")
-	for _, cfg := range []diag.Config{diag.I4C2(), diag.F4C2(), diag.F4C16(), diag.F4C32()} {
+	for _, cfg := range diag.Table2Configs() {
 		l2 := "N/A"
 		if cfg.L2Size > 0 {
 			l2 = fmt.Sprintf("%dMB", cfg.L2Size>>20)

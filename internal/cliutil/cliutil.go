@@ -23,6 +23,8 @@
 // flushes; a second kills the process), Core.OpenJournal creates or
 // resumes the run journal with the mismatch guard and resume banner, and
 // Interrupted prints the exact command that resumes an interrupted run.
+// LoadProgram gives the simulation tools one way to name their program:
+// a benchmark workload or an assembly file.
 package cliutil
 
 import (
@@ -32,12 +34,16 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
+	"diag/internal/asm"
 	"diag/internal/exp"
 	"diag/internal/journal"
+	"diag/internal/mem"
+	"diag/internal/workloads"
 )
 
 // Core holds the parsed values of the shared flag set.
@@ -132,6 +138,36 @@ func (nopCloser) Close() error { return nil }
 // Lookup reports whether fs defines a flag with the given name —
 // the hook the flag-uniformity test uses.
 func Lookup(fs *flag.FlagSet, name string) bool { return fs.Lookup(name) != nil }
+
+// LoadProgram returns the program a tool runs: the benchmark workload
+// named by the tool's workload flag (spelled flagName, set to name),
+// built with p, or — when that flag is empty — the assembly file that
+// is fs's one argument. label names the program (the workload or the
+// file path); check verifies a finished run's memory against the
+// workload's expected output and is nil for a file.
+func LoadProgram(fs *flag.FlagSet, flagName, name string, p workloads.Params) (img *mem.Image, label string, check func(*mem.Memory) error, err error) {
+	if name != "" {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			var names []string
+			for _, w := range workloads.All() {
+				names = append(names, w.Name)
+			}
+			return nil, "", nil, fmt.Errorf("unknown %s %q (have: %s)", flagName, name, strings.Join(names, ", "))
+		}
+		img, err := w.Build(p)
+		return img, name, func(m *mem.Memory) error { return w.Check(m, p) }, err
+	}
+	if fs.NArg() != 1 {
+		return nil, "", nil, fmt.Errorf("usage: %s [flags] prog.s  (or -%s NAME)", filepath.Base(fs.Name()), flagName)
+	}
+	src, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return nil, "", nil, err
+	}
+	img, err = asm.Assemble(string(src))
+	return img, fs.Arg(0), nil, err
+}
 
 // SignalContext derives the campaign tools' graceful-shutdown context:
 // the first SIGINT or SIGTERM cancels it, which stops feeding new jobs,

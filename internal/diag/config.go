@@ -194,6 +194,11 @@ func (c Config) EnabledClusters() int {
 
 // Paper Table 2 configurations.
 
+// Table2Configs returns the paper's Table 2 configurations in the
+// table's order: I4C2, F4C2, F4C16, F4C32. It is the one list every
+// tool that names or labels a paper design point iterates.
+func Table2Configs() []Config { return []Config{I4C2(), F4C2(), F4C16(), F4C32()} }
+
 // I4C2 is the integer-only FPGA proof-of-concept: 2 clusters, 32 PEs,
 // 100 MHz.
 func I4C2() Config {

@@ -1,22 +1,53 @@
-package diag
+package diag_test
 
 import (
+	"context"
 	"testing"
 
-	"diag/internal/testprog"
+	"diag/internal/diag"
+	"diag/internal/difftest"
+	"diag/internal/mem"
 )
 
+// genProgram returns the random terminating program difftest generates
+// from seed (forward branches, bounded nested loops, confined memory
+// traffic, the full RV32IM mix).
+func genProgram(t testing.TB, seed int64, atoms int) *mem.Image {
+	t.Helper()
+	img, err := difftest.GenerateImage(seed, difftest.GenOptions{MaxAtoms: atoms})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return img
+}
+
+// run executes img on cfg and returns the stats and memory.
+func run(t testing.TB, cfg diag.Config, img *mem.Image) (diag.Stats, *mem.Memory) {
+	t.Helper()
+	st, m, err := diag.RunImage(cfg, img)
+	if err != nil {
+		t.Fatalf("RunImage(%s): %v", cfg.Name, err)
+	}
+	return st, m
+}
+
 // TestFuzzBranchyProgramsMatchISS exercises the DiAG timing model with
-// random structured programs (forward branches, bounded loops, memory
-// traffic) across all configurations and extension combinations: the
-// architectural state must always equal the golden ISS's.
+// random structured programs across all configurations and extension
+// combinations: the architectural state — retired count and the digest
+// of all of memory — must always equal the golden ISS's.
 func TestFuzzBranchyProgramsMatchISS(t *testing.T) {
-	configs := []func() Config{F4C2, F4C16, F4C32}
+	archs, err := difftest.SelectArchs("iss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := []func() diag.Config{diag.F4C2, diag.F4C16, diag.F4C32}
 	for seed := int64(0); seed < 20; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed})
-		img := build(t, src)
-		ref := issRun(t, img)
-		for ci, mk := range configs {
+		img := genProgram(t, seed, 0)
+		ref := archs[0].Run(context.Background(), img, difftest.Budget{})
+		if ref.Err != "" {
+			t.Fatalf("seed %d: golden ISS: %s", seed, ref.Err)
+		}
+		for _, mk := range configs {
 			cfg := mk()
 			// Rotate the extensions through the fuzz corpus.
 			switch seed % 4 {
@@ -27,16 +58,12 @@ func TestFuzzBranchyProgramsMatchISS(t *testing.T) {
 			case 3:
 				cfg.SharedFPUs = 2
 			}
-			st, m := runOn(t, cfg, img)
-			for i := 0; i < 15; i++ {
-				addr := uint32(testprog.ScratchBase + 4*i)
-				if m.LoadWord(addr) != ref.Mem.LoadWord(addr) {
-					t.Fatalf("seed %d cfg %d: x%d = %d, iss %d",
-						seed, ci, i+1, m.LoadWord(addr), ref.Mem.LoadWord(addr))
-				}
-			}
+			st, m := run(t, cfg, img)
 			if st.Retired != ref.Instret {
-				t.Fatalf("seed %d cfg %d: retired %d, iss %d", seed, ci, st.Retired, ref.Instret)
+				t.Fatalf("seed %d %s: retired %d, iss %d", seed, cfg.Name, st.Retired, ref.Instret)
+			}
+			if d := m.Digest(); d != ref.Digest {
+				t.Fatalf("seed %d %s: memory digest %#x, iss %#x", seed, cfg.Name, d, ref.Digest)
 			}
 		}
 	}
@@ -47,10 +74,9 @@ func TestFuzzBranchyProgramsMatchISS(t *testing.T) {
 // identical, the per-config retire counts agree.
 func TestFuzzTimingSanity(t *testing.T) {
 	for seed := int64(20); seed < 30; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed, Blocks: 12})
-		img := build(t, src)
-		small, _ := runOn(t, F4C2(), img)
-		large, _ := runOn(t, F4C32(), img)
+		img := genProgram(t, seed, 60)
+		small, _ := run(t, diag.F4C2(), img)
+		large, _ := run(t, diag.F4C32(), img)
 		if small.Cycles <= 0 || large.Cycles <= 0 {
 			t.Fatalf("seed %d: nonpositive cycles", seed)
 		}
@@ -69,30 +95,20 @@ func TestFuzzTimingSanity(t *testing.T) {
 // TestTimingMonotonicity: degrading a resource never speeds a program
 // up, across the fuzz corpus.
 func TestTimingMonotonicity(t *testing.T) {
+	degrade := map[string]func(*diag.Config){
+		"slower DRAM":   func(c *diag.Config) { c.DRAMLatency = 400 },
+		"slower decode": func(c *diag.Config) { c.DecodeCycles = 4 },
+		"tiny L1D":      func(c *diag.Config) { c.L1DSize = 1 << 10 },
+	}
 	for seed := int64(40); seed < 46; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed, Blocks: 10})
-		img := build(t, src)
-		base, _ := runOn(t, F4C16(), img)
-
-		slowDRAM := F4C16()
-		slowDRAM.DRAMLatency = 400
-		sd, _ := runOn(t, slowDRAM, img)
-		if sd.Cycles < base.Cycles {
-			t.Errorf("seed %d: slower DRAM sped things up (%d < %d)", seed, sd.Cycles, base.Cycles)
-		}
-
-		slowDecode := F4C16()
-		slowDecode.DecodeCycles = 4
-		dc, _ := runOn(t, slowDecode, img)
-		if dc.Cycles < base.Cycles {
-			t.Errorf("seed %d: slower decode sped things up (%d < %d)", seed, dc.Cycles, base.Cycles)
-		}
-
-		tinyL1 := F4C16()
-		tinyL1.L1DSize = 1 << 10
-		tl, _ := runOn(t, tinyL1, img)
-		if tl.Cycles < base.Cycles {
-			t.Errorf("seed %d: tiny L1D sped things up (%d < %d)", seed, tl.Cycles, base.Cycles)
+		img := genProgram(t, seed, 50)
+		base, _ := run(t, diag.F4C16(), img)
+		for name, worsen := range degrade {
+			cfg := diag.F4C16()
+			worsen(&cfg)
+			if st, _ := run(t, cfg, img); st.Cycles < base.Cycles {
+				t.Errorf("seed %d: %s sped things up (%d < %d)", seed, name, st.Cycles, base.Cycles)
+			}
 		}
 	}
 }
@@ -100,10 +116,9 @@ func TestTimingMonotonicity(t *testing.T) {
 // TestDeterminism: the simulator must be bit-identical across runs —
 // same cycles, same stall mix, same cache stats.
 func TestDeterminism(t *testing.T) {
-	src := testprog.Generate(testprog.Options{Seed: 7, Blocks: 12})
-	img := build(t, src)
-	a, _ := runOn(t, F4C16(), img)
-	b, _ := runOn(t, F4C16(), img)
+	img := genProgram(t, 7, 60)
+	a, _ := run(t, diag.F4C16(), img)
+	b, _ := run(t, diag.F4C16(), img)
 	if a != b {
 		t.Errorf("nondeterministic stats:\n%+v\nvs\n%+v", a, b)
 	}

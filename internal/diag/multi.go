@@ -154,15 +154,18 @@ func (m *Machine) SetShards(n int) { m.shards = n }
 
 // canShard reports whether this RunUntil call may take the concurrent
 // path: a fresh, full (non-pausing) run of a multi-ring machine with no
-// PreStep hooks. Paused/resumed machines, instruction-limit pauses, and
-// fault-injection hooks (which may mutate shared memory at arbitrary
-// points) all fall back to the sequential engine.
+// PreStep or CPU Hook. Paused/resumed machines, instruction-limit
+// pauses, fault-injection hooks (which may mutate shared memory at
+// arbitrary points) and retirement hooks such as a shared trace
+// recorder (which would be called from several goroutines, in an order
+// that differs from the sequential one) all fall back to the
+// sequential engine.
 func (m *Machine) canShard(limit uint64) bool {
 	if limit != 0 || m.shards <= 1 || len(m.rings) <= 1 || m.nextRing != 0 {
 		return false
 	}
 	for _, r := range m.rings {
-		if r.PreStep != nil || r.steps != 0 {
+		if r.PreStep != nil || r.cpu.Hook != nil || r.steps != 0 {
 			return false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"diag/internal/isa"
+	"diag/internal/iss"
 	"diag/internal/mem"
 )
 
@@ -53,6 +54,81 @@ func TestGeneratedProgramsTerminate(t *testing.T) {
 		}
 		if res.Instret >= goldenCap {
 			t.Fatalf("seed %d: retired %d, at the cap — termination argument broken", seed, res.Instret)
+		}
+	}
+}
+
+// TestGenerateImageDeterministic: GenerateImage, the one-seed entry
+// point the fuzz/property tests build on, must give the same image for
+// the same seed and a different one for a different seed.
+func TestGenerateImageDeterministic(t *testing.T) {
+	a, err := GenerateImage(42, GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GenerateImage(42, GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("generation must be deterministic per seed")
+	}
+	c, err := GenerateImage(43, GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a, c) {
+		t.Error("different seeds should differ")
+	}
+}
+
+// TestGenerateImageLoadsAndTerminates: every GenerateImage image must
+// load into fresh memory and run to a clean halt on a bare ISS core,
+// for small and default program sizes alike.
+func TestGenerateImageLoadsAndTerminates(t *testing.T) {
+	for _, atoms := range []int{8, 0} {
+		for seed := int64(0); seed < 30; seed++ {
+			img, err := GenerateImage(seed, GenOptions{MaxAtoms: atoms})
+			if err != nil {
+				t.Fatalf("atoms %d seed %d: %v", atoms, seed, err)
+			}
+			m := mem.New()
+			entry, err := img.Load(m)
+			if err != nil {
+				t.Fatalf("atoms %d seed %d: load: %v", atoms, seed, err)
+			}
+			c := iss.New(m, entry)
+			if n := c.Run(1_000_000); n == 1_000_000 {
+				t.Fatalf("atoms %d seed %d: did not terminate", atoms, seed)
+			}
+			if c.Err != nil {
+				t.Fatalf("atoms %d seed %d: %v", atoms, seed, c.Err)
+			}
+		}
+	}
+}
+
+// TestFuzzCorporaHaveControlFlowVariety: the seed ranges and sizes the
+// fuzz/property tests in internal/diag and internal/ooo draw from
+// GenerateImage must each contain loops, forward branches and memory
+// traffic. The generator draws atom kinds at random, so this is checked,
+// not assumed.
+func TestFuzzCorporaHaveControlFlowVariety(t *testing.T) {
+	// {first seed, end seed, MaxAtoms} of TestFuzzBranchyProgramsMatchISS
+	// (both packages), diag's TestFuzzTimingSanity and
+	// TestTimingMonotonicity, and ooo's TestFuzzNarrowMachineSlower and
+	// TestIPCNeverExceedsIssueWidth.
+	for _, r := range [][3]int64{{0, 20, 0}, {20, 30, 60}, {40, 46, 50}, {30, 38, 50}, {50, 56, 50}} {
+		seen := map[Kind]bool{}
+		for seed := r[0]; seed < r[1]; seed++ {
+			for _, a := range Generate(rand.New(rand.NewSource(seed)), GenOptions{MaxAtoms: int(r[2])}).Atoms {
+				seen[a.Kind] = true
+			}
+		}
+		for k, name := range map[Kind]string{KindLoopInit: "loop", KindBranch: "forward-branch", KindMem: "memory"} {
+			if !seen[k] {
+				t.Errorf("seeds %d..%d at %d atoms: no %s atom", r[0], r[1]-1, r[2], name)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"diag/internal/isa"
+	"diag/internal/mem"
 )
 
 // GenOptions parameterize the random program generator.
@@ -239,6 +240,15 @@ func Scratch(rng *rand.Rand) []byte {
 		b[i] = byte(rng.Intn(256))
 	}
 	return b
+}
+
+// GenerateImage returns the loadable image of the program a campaign
+// trial with this seed runs: Generate's program plus its scratch
+// window, drawn from one rng in the trial's order.
+func GenerateImage(seed int64, opt GenOptions) (*mem.Image, error) {
+	rng := rand.New(rand.NewSource(seed))
+	p := Generate(rng, opt)
+	return p.Image(ScratchFromSeed(rng.Int63()))
 }
 
 // ScratchFromSeed regenerates a scratch window from a stored seed —

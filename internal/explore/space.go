@@ -381,7 +381,7 @@ func sizeName(bytes int) string {
 // cfg matches, ignoring the clock and run budgets (the FPGA prototype's
 // 100 MHz is a prototype artifact, not an architecture), or "".
 func paperName(cfg diag.Config) string {
-	for _, p := range []diag.Config{diag.I4C2(), diag.F4C2(), diag.F4C16(), diag.F4C32()} {
+	for _, p := range diag.Table2Configs() {
 		if sameArch(cfg, p) {
 			return p.Name
 		}

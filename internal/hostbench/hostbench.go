@@ -58,9 +58,13 @@ func Cases() []Case {
 	for _, k := range e2eKernels {
 		k := k
 		cs = append(cs,
-			Case{Name: "iss/" + k, Bench: func(b *testing.B) { benchE2E(b, "iss", k) }},
-			Case{Name: "diag/" + k, Bench: func(b *testing.B) { benchE2E(b, "diag", k) }},
-			Case{Name: "ooo/" + k, Bench: func(b *testing.B) { benchE2E(b, "ooo", k) }},
+			Case{Name: "iss/" + k, Bench: func(b *testing.B) {
+				var sb [3]uint64 // superblock hits, misses, instructions
+				benchE2E(b, k, func(b *testing.B, img *mem.Image) uint64 { return runISS(b, img, &sb) })
+				reportSuperblocks(b, sb[0], sb[1], sb[2])
+			}},
+			Case{Name: "diag/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runDiAG) }},
+			Case{Name: "ooo/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runOoO) }},
 		)
 	}
 	// Sharded-simulation rows: the same 4-way-partitioned kernel on the
@@ -201,62 +205,68 @@ func buildKernel(b *testing.B, kernel string, threads int) *mem.Image {
 	return img
 }
 
-// benchE2E measures one model running one internal/workloads kernel to
+// benchE2E measures run executing one internal/workloads kernel to
 // completion per iteration. Each iteration needs a fresh machine (the
-// run mutates memory), so construction and image loading happen with
-// the timer stopped — ns/op and allocs/op measure simulation, not setup.
-func benchE2E(b *testing.B, model, kernel string) {
+// run mutates memory), so run builds and loads it with the timer
+// stopped — ns/op and allocs/op measure simulation, not setup — and
+// returns the retired-instruction count.
+func benchE2E(b *testing.B, kernel string, run func(*testing.B, *mem.Image) uint64) {
 	img := buildKernel(b, kernel, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var total uint64
-	var sbHits, sbMisses, sbInsts uint64
 	for i := 0; i < b.N; i++ {
-		switch model {
-		case "iss":
-			b.StopTimer()
-			m := mem.New()
-			entry, err := img.Load(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cpu := iss.New(m, entry)
-			// Single-hart boot convention (tp = hart id, gp = hart
-			// count), matching diag.ISS(): without it the partitioned
-			// kernels divide by a zero thread count and exit after a
-			// handful of instructions, so the row measures nothing.
-			cpu.X[isa.TP] = 0
-			cpu.X[isa.GP] = 1
-			cpu.Run(1) // fault in the lazy predecode/superblock caches
-			b.StartTimer()
-			cpu.Run(1 << 40)
-			if cpu.Err != nil {
-				b.Fatal(cpu.Err)
-			}
-			if !cpu.Halted {
-				b.Fatal("instruction budget exhausted")
-			}
-			total += cpu.Instret
-			h, miss, n := cpu.SuperblockStats()
-			sbHits, sbMisses, sbInsts = sbHits+h, sbMisses+miss, sbInsts+n
-		case "diag":
-			mach := newDiAGMachine(b, idiag.F4C16(), img, 1)
-			if err := mach.Run(); err != nil {
-				b.Fatal(err)
-			}
-			total += mach.Stats().Retired
-		case "ooo":
-			mach := newOoOMachine(b, ooo.Baseline(), img, 1)
-			if err := mach.Run(); err != nil {
-				b.Fatal(err)
-			}
-			total += mach.Stats().Retired
-		default:
-			b.Fatalf("unknown model %q", model)
-		}
+		total += run(b, img)
 	}
 	reportMIPS(b, total)
-	reportSuperblocks(b, sbHits, sbMisses, sbInsts)
+}
+
+// runISS is benchE2E's golden-ISS run; it adds the run's superblock
+// hits, misses, and instructions to sb.
+func runISS(b *testing.B, img *mem.Image, sb *[3]uint64) uint64 {
+	b.StopTimer()
+	m := mem.New()
+	entry, err := img.Load(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu := iss.New(m, entry)
+	// Single-hart boot convention (tp = hart id, gp = hart count),
+	// matching diag.ISS(): without it the partitioned kernels divide by
+	// a zero thread count and exit after a handful of instructions, so
+	// the row measures nothing.
+	cpu.X[isa.TP] = 0
+	cpu.X[isa.GP] = 1
+	cpu.Run(1) // fault in the lazy predecode/superblock caches
+	b.StartTimer()
+	cpu.Run(1 << 40)
+	if cpu.Err != nil {
+		b.Fatal(cpu.Err)
+	}
+	if !cpu.Halted {
+		b.Fatal("instruction budget exhausted")
+	}
+	h, miss, n := cpu.SuperblockStats()
+	sb[0], sb[1], sb[2] = sb[0]+h, sb[1]+miss, sb[2]+n
+	return cpu.Instret
+}
+
+// runDiAG is benchE2E's F4C16 run.
+func runDiAG(b *testing.B, img *mem.Image) uint64 {
+	mach := newDiAGMachine(b, idiag.F4C16(), img, 1)
+	if err := mach.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return mach.Stats().Retired
+}
+
+// runOoO is benchE2E's baseline run.
+func runOoO(b *testing.B, img *mem.Image) uint64 {
+	mach := newOoOMachine(b, ooo.Baseline(), img, 1)
+	if err := mach.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return mach.Stats().Retired
 }
 
 // newDiAGMachine builds a DiAG machine with the benchmark timer

@@ -1,20 +1,52 @@
-package ooo
+package ooo_test
 
 import (
+	"context"
 	"testing"
 
-	"diag/internal/testprog"
+	"diag/internal/difftest"
+	"diag/internal/mem"
+	"diag/internal/ooo"
 )
 
+// genProgram returns the random terminating program difftest generates
+// from seed (forward branches, bounded nested loops, confined memory
+// traffic, the full RV32IM mix).
+func genProgram(t testing.TB, seed int64, atoms int) *mem.Image {
+	t.Helper()
+	img, err := difftest.GenerateImage(seed, difftest.GenOptions{MaxAtoms: atoms})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return img
+}
+
+// run executes img on cfg and returns the stats and memory.
+func run(t testing.TB, cfg ooo.Config, img *mem.Image) (ooo.Stats, *mem.Memory) {
+	t.Helper()
+	st, m, err := ooo.RunImage(cfg, img)
+	if err != nil {
+		t.Fatalf("RunImage(%s): %v", cfg.Name, err)
+	}
+	return st, m
+}
+
 // TestFuzzBranchyProgramsMatchISS exercises the out-of-order timing
-// model with random structured programs: architectural state must equal
-// the golden ISS's regardless of speculation and squashing.
+// model with random structured programs: the architectural state —
+// retired count and the digest of all of memory — must equal the golden
+// ISS's regardless of speculation and squashing.
 func TestFuzzBranchyProgramsMatchISS(t *testing.T) {
+	archs, err := difftest.SelectArchs("iss")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(0); seed < 20; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed})
-		img := build(t, src)
-		ref := issRun(t, img)
-		cfg := Baseline()
+		img := genProgram(t, seed, 0)
+		ref := archs[0].Run(context.Background(), img, difftest.Budget{})
+		if ref.Err != "" {
+			t.Fatalf("seed %d: golden ISS: %s", seed, ref.Err)
+		}
+		cfg := ooo.Baseline()
 		if seed%3 == 1 {
 			cfg.ROBSize = 32 // tiny window must still be correct
 		}
@@ -23,32 +55,27 @@ func TestFuzzBranchyProgramsMatchISS(t *testing.T) {
 			cfg.FetchWidth = 2
 			cfg.CommitWidth = 2
 		}
-		st, m := runOn(t, cfg, img)
-		for i := 0; i < 15; i++ {
-			addr := uint32(testprog.ScratchBase + 4*i)
-			if m.LoadWord(addr) != ref.Mem.LoadWord(addr) {
-				t.Fatalf("seed %d: x%d = %d, iss %d",
-					seed, i+1, m.LoadWord(addr), ref.Mem.LoadWord(addr))
-			}
-		}
+		st, m := run(t, cfg, img)
 		if st.Retired != ref.Instret {
 			t.Fatalf("seed %d: retired %d, iss %d", seed, st.Retired, ref.Instret)
+		}
+		if d := m.Digest(); d != ref.Digest {
+			t.Fatalf("seed %d: memory digest %#x, iss %#x", seed, d, ref.Digest)
 		}
 	}
 }
 
-// TestFuzzNarrowMachineSlower: on the fuzz corpus, a 2-wide machine
+// TestFuzzNarrowMachineSlower: on the fuzz corpus, a 1-wide machine
 // never beats the 8-wide one.
 func TestFuzzNarrowMachineSlower(t *testing.T) {
 	for seed := int64(30); seed < 38; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed, Blocks: 10})
-		img := build(t, src)
-		wide, _ := runOn(t, Baseline(), img)
-		narrow := Baseline()
+		img := genProgram(t, seed, 50)
+		wide, _ := run(t, ooo.Baseline(), img)
+		narrow := ooo.Baseline()
 		narrow.IssueWidth = 1
 		narrow.FetchWidth = 1
 		narrow.CommitWidth = 1
-		nst, _ := runOn(t, narrow, img)
+		nst, _ := run(t, narrow, img)
 		if nst.Cycles < wide.Cycles {
 			t.Errorf("seed %d: 1-wide (%d cycles) beat 8-wide (%d)", seed, nst.Cycles, wide.Cycles)
 		}
@@ -58,9 +85,8 @@ func TestFuzzNarrowMachineSlower(t *testing.T) {
 // TestIPCNeverExceedsIssueWidth: a structural invariant of the model.
 func TestIPCNeverExceedsIssueWidth(t *testing.T) {
 	for seed := int64(50); seed < 56; seed++ {
-		src := testprog.Generate(testprog.Options{Seed: seed, Blocks: 10})
-		st, _ := runOn(t, Baseline(), build(t, src))
-		if st.IPC() > float64(Baseline().IssueWidth) {
+		st, _ := run(t, ooo.Baseline(), genProgram(t, seed, 50))
+		if st.IPC() > float64(ooo.Baseline().IssueWidth) {
 			t.Errorf("seed %d: IPC %.2f exceeds issue width", seed, st.IPC())
 		}
 	}

@@ -150,15 +150,18 @@ func (m *Machine) SetShards(n int) { m.shards = n }
 
 // canShard reports whether this RunUntil call may take the concurrent
 // path: a fresh, full (non-pausing) run of a multicore machine with no
-// PreStep hooks. Paused/resumed machines, instruction-limit pauses, and
-// fault-injection hooks (which may mutate shared memory at arbitrary
-// points) all fall back to the sequential engine.
+// PreStep or CPU Hook. Paused/resumed machines, instruction-limit
+// pauses, fault-injection hooks (which may mutate shared memory at
+// arbitrary points) and retirement hooks such as a shared trace
+// recorder (which would be called from several goroutines, in an order
+// that differs from the sequential one) all fall back to the
+// sequential engine.
 func (m *Machine) canShard(limit uint64) bool {
 	if limit != 0 || m.shards <= 1 || len(m.cores) <= 1 || m.nextCore != 0 {
 		return false
 	}
 	for _, c := range m.cores {
-		if c.PreStep != nil || c.steps != 0 {
+		if c.PreStep != nil || c.cpu.Hook != nil || c.steps != 0 {
 			return false
 		}
 	}

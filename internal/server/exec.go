@@ -10,8 +10,6 @@ import (
 	"diag/internal/difftest"
 	"diag/internal/fault"
 	"diag/internal/obsv"
-	"diag/internal/ooo"
-	"diag/internal/power"
 )
 
 // execute runs the spec to completion and returns its canonical result
@@ -79,8 +77,8 @@ type runResult struct {
 	MemDigest string  `json:"mem_digest"`
 
 	// Energy is the modeled energy breakdown (timing machines only).
-	Energy *power.Breakdown `json:"energy,omitempty"`
-	Joules float64          `json:"joules,omitempty"`
+	Energy *diag.EnergyBreakdown `json:"energy,omitempty"`
+	Joules float64               `json:"joules,omitempty"`
 
 	// Stats is the machine's full counter set (diag.Stats or
 	// diag.BaselineStats); absent for the untimed ISS.
@@ -134,44 +132,30 @@ func (sp *Spec) runOne(ctx context.Context, machine string, observe bool) (*runR
 
 // target resolves a normalized machine name into a Target plus its
 // energy model (nil for the untimed ISS).
-func (sp *Spec) target(machine string) (diag.Target, func(*diag.Result) power.Breakdown, error) {
-	switch machine {
-	case "iss":
-		return diag.ISS(), nil, nil
-	case "ooo":
-		cfg := ooo.Baseline()
+func (sp *Spec) target(machine string) (diag.Target, func(*diag.Result) diag.EnergyBreakdown, error) {
+	m, err := diag.MachineByName(machine)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case m.Baseline != nil:
+		cfg := *m.Baseline
 		if sp.Req.Cores > 1 {
-			cfg = ooo.BaselineMulticore(sp.Req.Cores)
+			cfg = diag.BaselineMulticore(sp.Req.Cores)
 		}
-		return diag.OoO(cfg), func(res *diag.Result) power.Breakdown {
-			return power.OoOEnergy(cfg, *res.Baseline, 2000)
+		return diag.OoO(cfg), func(res *diag.Result) diag.EnergyBreakdown {
+			return diag.BaselineEnergy(cfg, *res.Baseline, 2000)
 		}, nil
-	default:
-		cfg, err := diagConfigByName(machine)
-		if err != nil {
-			return nil, nil, err
-		}
+	case m.DiAG != nil:
+		cfg := *m.DiAG
 		if sp.Req.Rings > 0 {
 			cfg = diag.MultiRing(cfg, sp.Req.Rings, 2)
 		}
-		return diag.DiAG(cfg), func(res *diag.Result) power.Breakdown {
-			return power.DiAGEnergy(cfg, *res.DiAG)
+		return diag.DiAG(cfg), func(res *diag.Result) diag.EnergyBreakdown {
+			return diag.Energy(cfg, *res.DiAG)
 		}, nil
 	}
-}
-
-func diagConfigByName(name string) (diag.Config, error) {
-	switch name {
-	case "I4C2":
-		return diag.I4C2(), nil
-	case "F4C2":
-		return diag.F4C2(), nil
-	case "F4C16":
-		return diag.F4C16(), nil
-	case "F4C32":
-		return diag.F4C32(), nil
-	}
-	return diag.Config{}, fmt.Errorf("unknown DiAG machine %q", name)
+	return diag.ISS(), nil, nil
 }
 
 // faultResult is the canonical result of a fault-campaign job.
@@ -187,21 +171,17 @@ type faultResult struct {
 // byte-identical at any worker count, so workers stays out of the
 // cache key.
 func (sp *Spec) runFault(ctx context.Context, workers int) (*faultResult, error) {
+	m, err := diag.MachineByName(sp.Req.Machine, faultKinds...)
+	if err != nil {
+		return nil, err
+	}
 	c := &fault.Campaign{
 		Image:   sp.Image,
 		Trials:  sp.Req.Trials,
 		Seed:    sp.Req.Seed,
 		Workers: workers,
-	}
-	if sp.Req.Machine == "ooo" {
-		cfg := ooo.Baseline()
-		c.OoO = &cfg
-	} else {
-		cfg, err := diagConfigByName(sp.Req.Machine)
-		if err != nil {
-			return nil, err
-		}
-		c.DiAG = &cfg
+		DiAG:    m.DiAG,
+		OoO:     m.Baseline,
 	}
 	rep, err := c.Run(ctx)
 	if err != nil {

@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"strings"
 
+	"diag"
 	"diag/internal/asm"
 	"diag/internal/difftest"
 	"diag/internal/journal"
@@ -108,8 +109,9 @@ const (
 	KindDifftest = "difftest"
 )
 
-// diagMachines are the valid DiAG configuration names, canonical case.
-var diagMachines = []string{"I4C2", "F4C2", "F4C16", "F4C32"}
+// faultKinds are the machine kinds a fault campaign can perturb: the
+// timing machines, not the untimed ISS.
+var faultKinds = []string{"diag", "ooo"}
 
 // Spec is a validated, normalized request: defaults applied, names
 // canonicalized, the program assembled, and the cache-key digests
@@ -227,12 +229,9 @@ func validate(req Request) (*Spec, error) {
 		if err := buildImage(&req, sp); err != nil {
 			return nil, err
 		}
-		m, err := normalizeMachine(req.Machine)
+		m, err := normalizeMachine(req.Machine, faultKinds...)
 		if err != nil {
 			return nil, err
-		}
-		if m == "iss" {
-			return nil, badRequest("fault campaigns need a timing machine, not the ISS")
 		}
 		if req.Rings > 1 || req.Cores > 1 || req.Threads > 1 {
 			return nil, badRequest("fault campaigns perturb one hart; rings/cores/threads must be 1")
@@ -304,21 +303,18 @@ func buildImage(req *Request, sp *Spec) error {
 	return nil
 }
 
-// normalizeMachine canonicalizes a machine name or rejects it.
-func normalizeMachine(name string) (string, error) {
-	switch n := strings.ToLower(strings.TrimSpace(name)); n {
-	case "iss", "ooo":
-		return n, nil
-	case "":
-		return "", badRequest("missing machine (iss, ooo, %s)", strings.Join(diagMachines, ", "))
-	default:
-		for _, d := range diagMachines {
-			if strings.EqualFold(n, d) {
-				return d, nil
-			}
-		}
-		return "", badRequest("unknown machine %q (iss, ooo, %s)", name, strings.Join(diagMachines, ", "))
+// normalizeMachine canonicalizes a machine name of one of kinds (any
+// kind when empty) or rejects it.
+func normalizeMachine(name string, kinds ...string) (string, error) {
+	name = strings.TrimSpace(name)
+	if name == "" {
+		return "", badRequest("missing machine (accepted: %s)", strings.Join(diag.Machines(kinds...), ", "))
 	}
+	m, err := diag.MachineByName(name, kinds...)
+	if err != nil {
+		return "", badRequest("%v", err)
+	}
+	return m.Name, nil
 }
 
 // canonical is the fixed-field-order identity of a request — every

@@ -13,7 +13,7 @@ import (
 
 // ---- Error taxonomy ----
 //
-// Every failure mode of Run, RunBaseline, Interpret, and Sweep maps to
+// Every failure mode of Run, Target.Run, Interpret, and Sweep maps to
 // one of these sentinels; test with errors.Is. The concrete errors
 // carry detailed messages ("iss: misaligned lw at 0x104 (PC 0x40)") and
 // match the sentinel through wrapping.
@@ -36,14 +36,14 @@ var (
 	ErrBadProgram = diagerr.ErrBadProgram
 	// ErrStalled: the machine's retirement watchdog proved a livelock —
 	// the full architectural state recurred with no intervening store,
-	// so the program can never halt. Returned by Run and RunBaseline
+	// so the program can never halt. Returned by Run and Target.Run
 	// long before a cycle budget would expire.
 	ErrStalled = diagerr.ErrStalled
 )
 
 // ---- Functional run options ----
 
-// RunOption customizes Run, RunBaseline, and their Context variants:
+// RunOption customizes Run, RunContext, and Target.Run and Resume:
 //
 //	st, m, err := diag.Run(cfg, p,
 //	    diag.WithContext(ctx),
@@ -185,18 +185,6 @@ func Sweep(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]SweepResul
 func SimJob(name string, cfg Config, p *Program, opts ...RunOption) SweepJob {
 	return SweepJob{Name: name, Run: func(ctx context.Context) (any, error) {
 		st, _, err := Run(cfg, p, append(opts, WithContext(ctx))...)
-		return st, err
-	}}
-}
-
-// BaselineJob builds a sweep job that runs p on the out-of-order
-// baseline with cfg; the result value is BaselineStats.
-//
-// Deprecated: Use TargetJob(name, OoO(cfg), p, opts...), whose result
-// value is *Result.
-func BaselineJob(name string, cfg BaselineConfig, p *Program, opts ...RunOption) SweepJob {
-	return SweepJob{Name: name, Run: func(ctx context.Context) (any, error) {
-		st, _, err := RunBaseline(cfg, p, append(opts, WithContext(ctx))...)
 		return st, err
 	}}
 }

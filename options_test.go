@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,32 @@ func TestWithTrace(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "blt") || !strings.Contains(out, "mix") {
 		t.Errorf("trace output missing instruction tail or mix summary:\n%s", out)
+	}
+}
+
+// TestWithTraceSharded pins that a traced multi-ring or multicore run
+// prints the same trace and stats at any shard count: the recorder is
+// shared by every ring/core, so a traced run must take the sequential
+// engine (run under -race, a concurrent one would also race).
+func TestWithTraceSharded(t *testing.T) {
+	w, _ := diag.WorkloadByName("hotspot")
+	img, err := w.Build(diag.WorkloadParams{Scale: 1, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tgt := range []diag.Target{diag.DiAG(diag.MultiRing(diag.F4C2(), 4, 2)), diag.OoO(diag.BaselineMulticore(4))} {
+		var out [2]string
+		for i, shards := range []int{1, 4} {
+			var buf bytes.Buffer
+			res, err := tgt.Run(img, diag.WithShards(shards), diag.WithTrace(&buf), diag.WithTraceDepth(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = fmt.Sprintf("%s %+v %+v\n%s", res.Machine, res.DiAG, res.Baseline, &buf)
+		}
+		if out[0] != out[1] {
+			t.Errorf("shards 4:\n%s\nwant (shards 1):\n%s", out[1], out[0])
+		}
 	}
 }
 

@@ -496,8 +496,7 @@ func snapshotKind(s *Snapshot) string {
 // ---- Target-based conveniences ----
 
 // TargetJob builds a sweep job that runs p on a fresh fork of t; the
-// result value is *Result. It generalizes SimJob and the deprecated
-// BaselineJob to any target.
+// result value is *Result. It generalizes SimJob to any target.
 func TargetJob(name string, t Target, p *Program, opts ...RunOption) SweepJob {
 	ft := t.fork()
 	return SweepJob{Name: name, Run: func(ctx context.Context) (any, error) {
@@ -510,10 +509,9 @@ func TargetJob(name string, t Target, p *Program, opts ...RunOption) SweepJob {
 }
 
 // FaultCampaignOn runs a Monte Carlo fault-injection campaign of p on
-// t's machine — the Target-level form generalizing FaultCampaign and
-// the deprecated FaultCampaignBaseline. The target must be a
-// single-threaded timing machine; ISS targets error (there is no
-// hardware to perturb).
+// t's machine — the Target-level form generalizing FaultCampaign. The
+// target must be a single-threaded timing machine; ISS targets error
+// (there is no hardware to perturb).
 func FaultCampaignOn(ctx context.Context, t Target, p *Program, opts ...FaultOption) (*FaultReport, error) {
 	c := &fault.Campaign{Image: p}
 	if err := t.campaign(c); err != nil {
@@ -527,8 +525,8 @@ func FaultCampaignOn(ctx context.Context, t Target, p *Program, opts ...FaultOpt
 
 // FaultReplayOn re-runs one trial of a finished campaign on t's machine
 // with an observer attached — the Target-level form generalizing
-// FaultReplay and the deprecated FaultReplayBaseline. The campaign
-// options must match the ones that produced rep.
+// FaultReplay. The campaign options must match the ones that produced
+// rep.
 func FaultReplayOn(ctx context.Context, t Target, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
 	c := &fault.Campaign{Image: p}
 	if err := t.campaign(c); err != nil {
