@@ -16,14 +16,18 @@ test:
 	$(GO) test ./...
 
 # Race-detector run: the parallel experiment engine fans simulations
-# across goroutines and the sharded machine engines (internal/diag,
-# internal/ooo TestSharded*) fan rings/cores within one simulation, so
-# the full suite must be race-clean.
+# across goroutines and the sharded machine engine (internal/multi,
+# exercised by the TestSharded* tests) fans rings/cores within one
+# simulation, so the full suite must be race-clean.
 race:
 	$(GO) test -race ./...
 
-# The gate CI runs: static checks plus the race-enabled suite.
+# The gate CI runs: formatting, static checks, and the race-enabled
+# suite. gofmt sees only tracked files, so ignored build output (e.g.
+# .bench_build/) is never checked.
 check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./...

@@ -235,62 +235,52 @@ func (r *Runner) run(label string, jobs []exp.Job) ([]exp.Result, error) {
 
 // diagJob builds one DiAG simulation job; its result value is diag.Stats.
 func diagJob(w workloads.Workload, p workloads.Params, cfg diag.Config, shards int) exp.Job {
-	return exp.Job{
-		Name: w.Name + "/" + cfg.Name,
-		Run: func(ctx context.Context) (any, error) {
-			return runDiAG(ctx, w, p, cfg, shards)
-		},
-	}
+	return simJob(w, p, cfg.Name, shards, func(img *mem.Image) (*diag.Machine, error) { return diag.NewMachine(cfg, img) })
 }
 
 // oooJob builds one baseline simulation job; its result value is ooo.Stats.
 func oooJob(w workloads.Workload, p workloads.Params, cfg ooo.Config, shards int) exp.Job {
+	return simJob(w, p, cfg.Name, shards, func(img *mem.Image) (*ooo.Machine, error) { return ooo.NewMachine(cfg, img) })
+}
+
+// machine is the surface both timing machines share (internal/multi),
+// plus their per-kind statistics S.
+type machine[S any] interface {
+	SetShards(n int)
+	RunContext(ctx context.Context) error
+	Mem() *mem.Memory
+	Stats() S
+}
+
+// simJob builds one simulation job of w on the machine named name; its
+// result value is the machine's statistics.
+func simJob[S any, M machine[S]](w workloads.Workload, p workloads.Params, name string, shards int, build func(*mem.Image) (M, error)) exp.Job {
 	return exp.Job{
-		Name: w.Name + "/" + cfg.Name,
+		Name: w.Name + "/" + name,
 		Run: func(ctx context.Context) (any, error) {
-			return runOoO(ctx, w, p, cfg, shards)
+			return runOn(ctx, w, p, name, shards, build)
 		},
 	}
 }
 
-// runDiAG executes w on cfg, sharded across up to shards goroutines,
-// and returns stats.
-func runDiAG(ctx context.Context, w workloads.Workload, p workloads.Params, cfg diag.Config, shards int) (diag.Stats, error) {
+// runOn executes w on the machine build makes, sharded across up to
+// shards goroutines, checks its output, and returns its statistics.
+func runOn[S any, M machine[S]](ctx context.Context, w workloads.Workload, p workloads.Params, name string, shards int, build func(*mem.Image) (M, error)) (S, error) {
+	var zero S
 	img, err := w.Build(p)
 	if err != nil {
-		return diag.Stats{}, err
+		return zero, err
 	}
-	mach, err := diag.NewMachine(cfg, img)
+	mach, err := build(img)
+	if err == nil {
+		mach.SetShards(shards)
+		err = mach.RunContext(ctx)
+	}
+	if err == nil {
+		err = w.Check(mach.Mem(), p)
+	}
 	if err != nil {
-		return diag.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
-	}
-	mach.SetShards(shards)
-	if err := mach.RunContext(ctx); err != nil {
-		return diag.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
-	}
-	if err := w.Check(mach.Mem(), p); err != nil {
-		return diag.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
-	}
-	return mach.Stats(), nil
-}
-
-// runOoO executes w on cfg, sharded across up to shards goroutines,
-// and returns stats.
-func runOoO(ctx context.Context, w workloads.Workload, p workloads.Params, cfg ooo.Config, shards int) (ooo.Stats, error) {
-	img, err := w.Build(p)
-	if err != nil {
-		return ooo.Stats{}, err
-	}
-	mach, err := ooo.NewMachine(cfg, img)
-	if err != nil {
-		return ooo.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
-	}
-	mach.SetShards(shards)
-	if err := mach.RunContext(ctx); err != nil {
-		return ooo.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
-	}
-	if err := w.Check(mach.Mem(), p); err != nil {
-		return ooo.Stats{}, fmt.Errorf("%s on %s: %w", w.Name, cfg.Name, err)
+		return zero, fmt.Errorf("%s on %s: %w", w.Name, name, err)
 	}
 	return mach.Stats(), nil
 }
@@ -674,7 +664,7 @@ func RunWorkloadOnce(name string, p workloads.Params, cfg diag.Config) (diag.Sta
 		return diag.Stats{}, ooo.Stats{}, fmt.Errorf("bench: unknown workload %q", name)
 	}
 	ctx := context.Background()
-	d, err := runDiAG(ctx, w, p, cfg, 0)
+	d, err := runOn(ctx, w, p, cfg.Name, 0, func(img *mem.Image) (*diag.Machine, error) { return diag.NewMachine(cfg, img) })
 	if err != nil {
 		return diag.Stats{}, ooo.Stats{}, err
 	}
@@ -682,7 +672,7 @@ func RunWorkloadOnce(name string, p workloads.Params, cfg diag.Config) (diag.Sta
 	if p.Threads > 1 {
 		baseCfg = ooo.BaselineMulticore(p.Threads)
 	}
-	b, err := runOoO(ctx, w, p, baseCfg, 0)
+	b, err := runOn(ctx, w, p, baseCfg.Name, 0, func(img *mem.Image) (*ooo.Machine, error) { return ooo.NewMachine(baseCfg, img) })
 	if err != nil {
 		return diag.Stats{}, ooo.Stats{}, err
 	}

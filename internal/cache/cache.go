@@ -29,6 +29,16 @@ type Stats struct {
 	Prefetches uint64
 }
 
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Writebacks += o.Writebacks
+	s.Prefetches += o.Prefetches
+}
+
 // MissRate returns misses per access, or 0 if never accessed.
 func (s Stats) MissRate() float64 {
 	if s.Accesses == 0 {

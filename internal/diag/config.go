@@ -269,15 +269,3 @@ func (c Config) buildL1D(lower cache.Port) *cache.Cache {
 		Latency: 2, Banks: c.L1DBanks,
 	}, lower)
 }
-
-// buildL2 constructs the shared last-level cache, or nil when absent
-// (NoL2; a zero size has already been defaulted to 4 MiB by the time
-// NewMachine calls this).
-func (c Config) buildL2(lower cache.Port) *cache.Cache {
-	if c.L2Size <= 0 {
-		return nil
-	}
-	return cache.New(cache.Config{
-		Name: "L2", Size: c.L2Size, LineSize: 64, Assoc: 8, Latency: 12,
-	}, lower)
-}

@@ -146,6 +146,29 @@ func (r *Ring) CPU() *iss.CPU { return r.cpu }
 // observability work at all.
 func (r *Ring) SetObserver(o obsv.Observer) { r.obs = o }
 
+// Observer returns the ring's event sink (nil when off).
+func (r *Ring) Observer() obsv.Observer { return r.obs }
+
+// Config returns the configuration the ring runs under.
+func (r *Ring) Config() Config { return r.cfg }
+
+// Retired counts the ring's retired instructions.
+func (r *Ring) Retired() uint64 { return r.stats.Retired }
+
+// Fresh reports that the ring has not stepped and carries no PreStep or
+// CPU Hook.
+func (r *Ring) Fresh() bool { return r.steps == 0 && r.PreStep == nil && r.cpu.Hook == nil }
+
+// SetBudgets overrides MaxInstructions and MaxCycles (0 keeps one).
+func (r *Ring) SetBudgets(maxInst uint64, maxCycles int64) {
+	if maxInst > 0 {
+		r.cfg.MaxInstructions = maxInst
+	}
+	if maxCycles > 0 {
+		r.cfg.MaxCycles = maxCycles
+	}
+}
+
 // EnabledClusters reports how many clusters are currently usable.
 func (r *Ring) EnabledClusters() int { return r.enabled }
 

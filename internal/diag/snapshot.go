@@ -7,6 +7,7 @@ import (
 	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
+	"diag/internal/multi"
 )
 
 // This file captures and restores full-machine state for deterministic
@@ -201,38 +202,9 @@ func (r *Ring) SetState(st *RingState) error {
 }
 
 // MachineState is a serializable copy of a complete DiAG machine:
-// configuration, memory, every ring, the shared L2 partitions, and the
-// DRAM access counter.
-type MachineState struct {
-	Config       Config
-	Mem          mem.State
-	Rings        []RingState
-	L2s          []cache.State
-	DRAMAccesses uint64
-	NextRing     int
-}
-
-// State captures the machine's complete state. The machine must be
-// quiescent (not running) when captured.
-func (m *Machine) State() *MachineState {
-	st := &MachineState{
-		Config:       m.cfg,
-		Mem:          m.mem.State(),
-		Rings:        make([]RingState, len(m.rings)),
-		L2s:          make([]cache.State, len(m.l2s)),
-		NextRing: m.nextRing,
-	}
-	for _, d := range m.drams {
-		st.DRAMAccesses += d.Accesses
-	}
-	for i, r := range m.rings {
-		st.Rings[i] = r.State()
-	}
-	for i, l2 := range m.l2s {
-		st.L2s[i] = l2.State()
-	}
-	return st
-}
+// configuration, memory, every ring, the shared L2 partitions, the DRAM
+// access counter, and the next-ring cursor.
+type MachineState = multi.State[Config, RingState]
 
 // NewMachineFromState rebuilds a machine from a previously captured
 // state. The result is independent of st and continues execution
@@ -244,29 +216,9 @@ func NewMachineFromState(st *MachineState) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(st.Rings) != cfg.Rings {
-		return nil, fmt.Errorf("diag: state has %d rings, config needs %d", len(st.Rings), cfg.Rings)
-	}
-	if st.NextRing < 0 || st.NextRing > cfg.Rings {
-		return nil, fmt.Errorf("diag: state next-ring %d out of range (%d rings)", st.NextRing, cfg.Rings)
-	}
 	mach := buildMachine(cfg, mem.NewFromState(&st.Mem), 0)
-	if len(st.L2s) != len(mach.l2s) {
-		return nil, fmt.Errorf("diag: state has %d L2 partitions, config needs %d", len(st.L2s), len(mach.l2s))
+	if err := mach.Restore(st); err != nil {
+		return nil, err
 	}
-	for i := range mach.l2s {
-		if err := mach.l2s[i].SetState(&st.L2s[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i, r := range mach.rings {
-		if err := r.SetState(&st.Rings[i]); err != nil {
-			return nil, fmt.Errorf("diag: ring %d: %w", i, err)
-		}
-	}
-	// The per-ring DRAM split is a host-side concern (Stats sums the
-	// counters); the serialized total restores into the first one.
-	mach.drams[0].Accesses = st.DRAMAccesses
-	mach.nextRing = st.NextRing
 	return mach, nil
 }

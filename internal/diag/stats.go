@@ -119,18 +119,9 @@ func (s *Stats) Merge(o Stats) {
 	s.SIMTThreads += o.SIMTThreads
 	s.SIMTPipelined += o.SIMTPipelined
 	s.SIMTRejects += o.SIMTRejects
-	mergeCache(&s.L1I, o.L1I)
-	mergeCache(&s.L1D, o.L1D)
-	mergeCache(&s.L2, o.L2)
-	mergeCache(&s.MemLanes, o.MemLanes)
+	s.L1I.Add(o.L1I)
+	s.L1D.Add(o.L1D)
+	s.L2.Add(o.L2)
+	s.MemLanes.Add(o.MemLanes)
 	s.DRAMAccesses += o.DRAMAccesses
-}
-
-func mergeCache(dst *cache.Stats, src cache.Stats) {
-	dst.Accesses += src.Accesses
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
-	dst.Evictions += src.Evictions
-	dst.Writebacks += src.Writebacks
-	dst.Prefetches += src.Prefetches
 }

@@ -165,9 +165,9 @@ func archRegistry() []Arch {
 	degCfg.DisabledClusterMask = 0xAAAA // alternate clusters fused off: reuse remap path
 
 	return []Arch{
-		issArch("iss", false, false),      // golden: predecoded, superblock-dispatched ISS
-		issArch("iss-raw", true, false),   // fetch+decode every step (implies no superblocks)
-		issArch("iss-nosb", false, true),  // predecoded but stepped: isolates the block layer
+		issArch("iss", false, false),     // golden: predecoded, superblock-dispatched ISS
+		issArch("iss-raw", true, false),  // fetch+decode every step (implies no superblocks)
+		issArch("iss-nosb", false, true), // predecoded but stepped: isolates the block layer
 		diagArch("ring", diag.F4C2(), false, false),
 		diagArch("ring-nopre", diag.F4C2(), true, false),
 		diagArch("ring-nosb", diag.F4C2(), false, true), // knob parity; ring steps regardless

@@ -199,14 +199,8 @@ func (c *Campaign) Manifest(tool string) journal.Manifest {
 // cleanly, cancellation); per-trial failures are what the campaign
 // measures and land in the report.
 func (c *Campaign) Run(ctx context.Context) (*Report, error) {
-	if c.Image == nil {
-		return nil, fmt.Errorf("fault: campaign needs an image")
-	}
-	if (c.DiAG == nil) == (c.OoO == nil) {
-		return nil, fmt.Errorf("fault: campaign needs exactly one of DiAG/OoO")
-	}
-	if c.DiAG != nil && c.DiAG.Rings > 1 || c.OoO != nil && c.OoO.Cores > 1 {
-		return nil, fmt.Errorf("fault: campaign machines must be single-threaded (Rings/Cores == 1)")
+	if err := c.validate("campaign", "an image"); err != nil {
+		return nil, err
 	}
 	trials := c.Trials
 	if trials <= 0 {
@@ -217,18 +211,9 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 		sites = DefaultSites(c.DiAG != nil)
 	}
 	dataAddr, dataLen := c.dataRegion()
-
-	// Golden reference: the ISS run the machine must reproduce.
-	cap := uint64(500_000_000)
-	if c.DiAG != nil && c.DiAG.MaxInstructions > 0 {
-		cap = c.DiAG.MaxInstructions
-	}
-	if c.OoO != nil && c.OoO.MaxInstructions > 0 {
-		cap = c.OoO.MaxInstructions
-	}
-	golden, goldenInstret, err := goldenRun(c.Image, cap)
+	golden, goldenInstret, err := c.golden()
 	if err != nil {
-		return nil, fmt.Errorf("fault: golden run: %w", err)
+		return nil, err
 	}
 
 	// Unfaulted timing run: differential sanity check plus the cycle
@@ -335,6 +320,37 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
+// validate checks the campaign's shape; op and image name the caller
+// in error text.
+func (c *Campaign) validate(op, image string) error {
+	switch {
+	case c.Image == nil:
+		return fmt.Errorf("fault: %s needs %s", op, image)
+	case (c.DiAG == nil) == (c.OoO == nil):
+		return fmt.Errorf("fault: %s needs exactly one of DiAG/OoO", op)
+	case c.DiAG != nil && c.DiAG.Rings > 1 || c.OoO != nil && c.OoO.Cores > 1:
+		return fmt.Errorf("fault: campaign machines must be single-threaded (Rings/Cores == 1)")
+	}
+	return nil
+}
+
+// golden runs the ISS reference the machine must reproduce, under the
+// configuration's instruction cap.
+func (c *Campaign) golden() (goldenRef, uint64, error) {
+	cap := uint64(500_000_000)
+	if c.DiAG != nil && c.DiAG.MaxInstructions > 0 {
+		cap = c.DiAG.MaxInstructions
+	}
+	if c.OoO != nil && c.OoO.MaxInstructions > 0 {
+		cap = c.OoO.MaxInstructions
+	}
+	g, instret, err := goldenRun(c.Image, cap)
+	if err != nil {
+		return goldenRef{}, 0, fmt.Errorf("fault: golden run: %w", err)
+	}
+	return g, instret, nil
+}
+
 // dataRegion resolves the SiteMem target range.
 func (c *Campaign) dataRegion() (addr, length uint32) {
 	if c.DataLen > 0 {
@@ -381,27 +397,16 @@ func (c *Campaign) machineName() string {
 // report recorded, and the run uses the same reproducible budgets, so
 // the returned Trial matches rep.Trials[trial].
 func (c *Campaign) Replay(ctx context.Context, rep *Report, trial int, obs obsv.Observer) (Trial, error) {
-	if c.Image == nil {
-		return Trial{}, fmt.Errorf("fault: replay needs the campaign's image")
-	}
-	if (c.DiAG == nil) == (c.OoO == nil) {
-		return Trial{}, fmt.Errorf("fault: replay needs exactly one of DiAG/OoO")
+	if err := c.validate("replay", "the campaign's image"); err != nil {
+		return Trial{}, err
 	}
 	if trial < 0 || trial >= len(rep.Trials) {
 		return Trial{}, fmt.Errorf("fault: trial %d out of range (report has %d)", trial, len(rep.Trials))
 	}
 	dataAddr, dataLen := c.dataRegion()
-
-	cap := uint64(500_000_000)
-	if c.DiAG != nil && c.DiAG.MaxInstructions > 0 {
-		cap = c.DiAG.MaxInstructions
-	}
-	if c.OoO != nil && c.OoO.MaxInstructions > 0 {
-		cap = c.OoO.MaxInstructions
-	}
-	golden, _, err := goldenRun(c.Image, cap)
+	golden, _, err := c.golden()
 	if err != nil {
-		return Trial{}, fmt.Errorf("fault: golden run: %w", err)
+		return Trial{}, err
 	}
 
 	// The same reproducible budgets Run derived.
@@ -434,69 +439,99 @@ func (fp *forkPoint) eligible(faults []Fault) bool {
 	return fp != nil && len(faults) == 1 && faults[0].Cycle > fp.threshold
 }
 
+// machine is the engine surface (internal/multi) both timing models
+// share.
+type machine interface {
+	RunUntil(ctx context.Context, limit uint64) (paused bool, err error)
+	RunContext(ctx context.Context) error
+	SetObserver(o obsv.Observer)
+	SetBudgets(maxInst uint64, maxCycles int64)
+	Mem() *mem.Memory
+}
+
+// rig is one campaign machine reduced to what a trial drives: the
+// shared machine surface, unit 0 — the one hart faults are injected
+// into — and the per-kind cycle and snapshot views.
+type rig struct {
+	machine
+	target   Target           // unit 0's CPU; on DiAG also its cluster fuses
+	preStep  *func(now int64) // unit 0's PreStep slot
+	cycles   func() int64
+	snapshot func() *snap.Snapshot
+}
+
+// build makes the campaign's machine from reset, or from the encoded
+// checkpoint enc when non-nil, under the given budgets (0 keeps the
+// configuration's own). The machine kind is the only per-kind step of
+// a campaign.
+func (c *Campaign) build(enc []byte, maxInst uint64, maxCycles int64) (*rig, error) {
+	var s *snap.Snapshot
+	if enc != nil {
+		var err error
+		if s, err = snap.Decode(enc); err != nil {
+			return nil, err
+		}
+	}
+	var rg *rig
+	if c.DiAG != nil {
+		var m *diag.Machine
+		var err error
+		if s != nil {
+			m, err = diag.NewMachineFromState(s.DiAG)
+		} else {
+			m, err = diag.NewMachine(*c.DiAG, c.Image)
+		}
+		if err != nil {
+			return nil, err
+		}
+		r := m.Ring(0)
+		rg = &rig{
+			machine: m, preStep: &r.PreStep,
+			target:   Target{CPU: r.CPU(), DisableCluster: r.DisableCluster, Clusters: c.DiAG.Clusters},
+			cycles:   func() int64 { return m.Stats().Cycles },
+			snapshot: func() *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindDiAG, DiAG: m.State()} },
+		}
+	} else {
+		var m *ooo.Machine
+		var err error
+		if s != nil {
+			m, err = ooo.NewMachineFromState(s.OoO)
+		} else {
+			m, err = ooo.NewMachine(*c.OoO, c.Image)
+		}
+		if err != nil {
+			return nil, err
+		}
+		core := m.Core(0)
+		rg = &rig{
+			machine: m, preStep: &core.PreStep,
+			target:   Target{CPU: core.CPU()},
+			cycles:   func() int64 { return m.Stats().Cycles },
+			snapshot: func() *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindOoO, OoO: m.State()} },
+		}
+	}
+	rg.SetBudgets(maxInst, maxCycles)
+	return rg, nil
+}
+
 // checkpoint runs the unfaulted machine (under the trial budgets) to
 // the warmup pause and encodes it. A nil forkPoint (no error) means the
 // program halted inside the warmup window — nothing to fork, every
 // trial runs from reset.
 func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int64) (*forkPoint, error) {
-	if c.DiAG != nil {
-		cfg := *c.DiAG
-		if maxInst > 0 {
-			cfg.MaxInstructions = maxInst
-		}
-		if maxCycles > 0 {
-			cfg.MaxCycles = maxCycles
-		}
-		mach, err := diag.NewMachine(cfg, c.Image)
-		if err != nil {
-			return nil, err
-		}
-		paused, err := mach.RunUntil(ctx, c.Warmup)
-		if err != nil {
-			return nil, err
-		}
-		if !paused {
-			return nil, nil
-		}
-		st := mach.State()
-		thr := st.Rings[0].Now
-		if cyc := st.Rings[0].Stats.Cycles; cyc > thr {
-			thr = cyc
-		}
-		enc, err := snap.Encode(&snap.Snapshot{Kind: snap.KindDiAG, DiAG: st})
-		if err != nil {
-			return nil, err
-		}
-		return &forkPoint{enc: enc, threshold: thr}, nil
-	}
-	cfg := *c.OoO
-	if maxInst > 0 {
-		cfg.MaxInstructions = maxInst
-	}
-	if maxCycles > 0 {
-		cfg.MaxCycles = maxCycles
-	}
-	mach, err := ooo.NewMachine(cfg, c.Image)
+	rg, err := c.build(nil, maxInst, maxCycles)
 	if err != nil {
 		return nil, err
 	}
-	paused, err := mach.RunUntil(ctx, c.Warmup)
+	paused, err := rg.RunUntil(ctx, c.Warmup)
+	if err != nil || !paused {
+		return nil, err
+	}
+	enc, err := snap.Encode(rg.snapshot())
 	if err != nil {
 		return nil, err
 	}
-	if !paused {
-		return nil, nil
-	}
-	st := mach.State()
-	thr := st.Cores[0].Now
-	if cyc := st.Cores[0].Stats.Cycles; cyc > thr {
-		thr = cyc
-	}
-	enc, err := snap.Encode(&snap.Snapshot{Kind: snap.KindOoO, OoO: st})
-	if err != nil {
-		return nil, err
-	}
-	return &forkPoint{enc: enc, threshold: thr}, nil
+	return &forkPoint{enc: enc, threshold: rg.cycles()}, nil
 }
 
 // forkRunner builds a closure running one (possibly faulted)
@@ -505,88 +540,28 @@ func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int
 // run). A non-nil obs streams the run's cycle-level events (replay
 // debugging).
 func (c *Campaign) forkRunner(fork *forkPoint, faults []Fault, dataAddr, dataLen uint32, maxInst uint64, maxCycles int64, obs obsv.Observer) func(context.Context) runResult {
-	img := c.Image
-	textLen := uint32(len(img.Text)) * 4
-	if c.DiAG != nil {
-		cfg := *c.DiAG
-		if maxInst > 0 {
-			cfg.MaxInstructions = maxInst
-		}
-		if maxCycles > 0 {
-			cfg.MaxCycles = maxCycles
-		}
-		return func(ctx context.Context) runResult {
-			var mach *diag.Machine
-			var err error
-			if fork.eligible(faults) {
-				var s *snap.Snapshot
-				if s, err = snap.Decode(fork.enc); err == nil {
-					mach, err = diag.NewMachineFromState(s.DiAG)
-				}
-			} else {
-				mach, err = diag.NewMachine(cfg, img)
-			}
-			if err != nil {
-				return runResult{err: err}
-			}
-			if obs != nil {
-				mach.SetObserver(obs)
-			}
-			ring := mach.Ring(0)
-			inj := NewInjector(Target{
-				CPU:      ring.CPU(),
-				TextAddr: img.TextAddr, TextLen: textLen,
-				DataAddr: dataAddr, DataLen: dataLen,
-				DisableCluster: ring.DisableCluster,
-				Clusters:       cfg.Clusters,
-			}, faults)
-			ring.PreStep = inj.Poll
-			err = mach.RunContext(ctx)
-			return runResult{
-				digest:   mach.Mem().Digest(),
-				pc:       ring.CPU().PC,
-				cycles:   mach.Stats().Cycles,
-				injected: inj.Injected > 0,
-				err:      err,
-			}
-		}
-	}
-	cfg := *c.OoO
-	if maxInst > 0 {
-		cfg.MaxInstructions = maxInst
-	}
-	if maxCycles > 0 {
-		cfg.MaxCycles = maxCycles
+	var enc []byte
+	if fork.eligible(faults) {
+		enc = fork.enc
 	}
 	return func(ctx context.Context) runResult {
-		var mach *ooo.Machine
-		var err error
-		if fork.eligible(faults) {
-			var s *snap.Snapshot
-			if s, err = snap.Decode(fork.enc); err == nil {
-				mach, err = ooo.NewMachineFromState(s.OoO)
-			}
-		} else {
-			mach, err = ooo.NewMachine(cfg, img)
-		}
+		rg, err := c.build(enc, maxInst, maxCycles)
 		if err != nil {
 			return runResult{err: err}
 		}
 		if obs != nil {
-			mach.SetObserver(obs)
+			rg.SetObserver(obs)
 		}
-		core := mach.Core(0)
-		inj := NewInjector(Target{
-			CPU:      core.CPU(),
-			TextAddr: img.TextAddr, TextLen: textLen,
-			DataAddr: dataAddr, DataLen: dataLen,
-		}, faults)
-		core.PreStep = inj.Poll
-		err = mach.RunContext(ctx)
+		t := rg.target
+		t.TextAddr, t.TextLen = c.Image.TextAddr, uint32(len(c.Image.Text))*4
+		t.DataAddr, t.DataLen = dataAddr, dataLen
+		inj := NewInjector(t, faults)
+		*rg.preStep = inj.Poll
+		err = rg.RunContext(ctx)
 		return runResult{
-			digest:   mach.Mem().Digest(),
-			pc:       core.CPU().PC,
-			cycles:   mach.Stats().Cycles,
+			digest:   rg.Mem().Digest(),
+			pc:       t.CPU.PC,
+			cycles:   rg.cycles(),
 			injected: inj.Injected > 0,
 			err:      err,
 		}

@@ -63,19 +63,20 @@ func Cases() []Case {
 				benchE2E(b, k, func(b *testing.B, img *mem.Image) uint64 { return runISS(b, img, &sb) })
 				reportSuperblocks(b, sb[0], sb[1], sb[2])
 			}},
-			Case{Name: "diag/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runDiAG) }},
-			Case{Name: "ooo/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runOoO) }},
+			Case{Name: "diag/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runTimed(idiag.F4C16(), idiag.NewMachine)) }},
+			Case{Name: "ooo/" + k, Bench: func(b *testing.B) { benchE2E(b, k, runTimed(ooo.Baseline(), ooo.NewMachine)) }},
 		)
 	}
 	// Sharded-simulation rows: the same 4-way-partitioned kernel on the
 	// 4-ring machine and 4-core baseline, serial vs sharded across 4
 	// host goroutines. Simulated results are byte-identical between the
 	// pair; the ns/op ratio is the host-parallel e2e speedup.
+	mt4, mc4 := idiag.MultiRing(idiag.F4C16(), 4, 4), ooo.BaselineMulticore(4)
 	cs = append(cs,
-		Case{Name: "diag/mt4", Bench: func(b *testing.B) { benchE2EDiAGMulti(b, "hotspot", 4, 1) }},
-		Case{Name: "diag/mt4-shard4", Bench: func(b *testing.B) { benchE2EDiAGMulti(b, "hotspot", 4, 4) }},
-		Case{Name: "ooo/mc4", Bench: func(b *testing.B) { benchE2EOoOMulti(b, "hotspot", 4, 1) }},
-		Case{Name: "ooo/mc4-shard4", Bench: func(b *testing.B) { benchE2EOoOMulti(b, "hotspot", 4, 4) }},
+		Case{Name: "diag/mt4", Bench: func(b *testing.B) { benchE2EMulti(b, "hotspot", 4, mt4, idiag.NewMachine, 1) }},
+		Case{Name: "diag/mt4-shard4", Bench: func(b *testing.B) { benchE2EMulti(b, "hotspot", 4, mt4, idiag.NewMachine, 4) }},
+		Case{Name: "ooo/mc4", Bench: func(b *testing.B) { benchE2EMulti(b, "hotspot", 4, mc4, ooo.NewMachine, 1) }},
+		Case{Name: "ooo/mc4-shard4", Bench: func(b *testing.B) { benchE2EMulti(b, "hotspot", 4, mc4, ooo.NewMachine, 4) }},
 	)
 	return cs
 }
@@ -251,29 +252,20 @@ func runISS(b *testing.B, img *mem.Image, sb *[3]uint64) uint64 {
 	return cpu.Instret
 }
 
-// runDiAG is benchE2E's F4C16 run.
-func runDiAG(b *testing.B, img *mem.Image) uint64 {
-	mach := newDiAGMachine(b, idiag.F4C16(), img, 1)
-	if err := mach.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return mach.Stats().Retired
+// timed is the engine surface (internal/multi) both timing machines
+// share, down to the per-unit retired counts U exposes.
+type timed[U interface{ Retired() uint64 }] interface {
+	SetShards(n int)
+	Run() error
+	Retired() uint64
+	Unit(i int) U
 }
 
-// runOoO is benchE2E's baseline run.
-func runOoO(b *testing.B, img *mem.Image) uint64 {
-	mach := newOoOMachine(b, ooo.Baseline(), img, 1)
-	if err := mach.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return mach.Stats().Retired
-}
-
-// newDiAGMachine builds a DiAG machine with the benchmark timer
-// stopped, so e2e rows measure simulation rather than setup.
-func newDiAGMachine(b *testing.B, cfg idiag.Config, img *mem.Image, shards int) *idiag.Machine {
+// newMachine builds a machine with the benchmark timer stopped, so e2e
+// rows measure simulation rather than setup.
+func newMachine[C any, M interface{ SetShards(int) }](b *testing.B, cfg C, img *mem.Image, shards int, build func(C, *mem.Image) (M, error)) M {
 	b.StopTimer()
-	mach, err := idiag.NewMachine(cfg, img)
+	mach, err := build(cfg, img)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,74 +274,43 @@ func newDiAGMachine(b *testing.B, cfg idiag.Config, img *mem.Image, shards int) 
 	return mach
 }
 
-// newOoOMachine is newDiAGMachine for the out-of-order baseline.
-func newOoOMachine(b *testing.B, cfg ooo.Config, img *mem.Image, shards int) *ooo.Machine {
-	b.StopTimer()
-	mach, err := ooo.NewMachine(cfg, img)
-	if err != nil {
-		b.Fatal(err)
+// runTimed returns benchE2E's run of the machine build makes from cfg.
+func runTimed[C any, U interface{ Retired() uint64 }, M timed[U]](cfg C, build func(C, *mem.Image) (M, error)) func(*testing.B, *mem.Image) uint64 {
+	return func(b *testing.B, img *mem.Image) uint64 {
+		mach := newMachine(b, cfg, img, 1, build)
+		if err := mach.Run(); err != nil {
+			b.Fatal(err)
+		}
+		return mach.Retired()
 	}
-	mach.SetShards(shards)
-	b.StartTimer()
-	return mach
 }
 
-// benchE2EDiAGMulti measures the rings-ring DiAG machine running the
-// partitioned form of a kernel, spread across the given shard count.
-// The shard-util metric is the retired-instruction balance across
-// rings (1.0 = perfectly even partitions), the ceiling on the
-// host-parallel speedup sharding can reach.
-func benchE2EDiAGMulti(b *testing.B, kernel string, rings, shards int) {
-	img := buildKernel(b, kernel, rings)
-	cfg := idiag.MultiRing(idiag.F4C16(), rings, 4)
+// benchE2EMulti measures a multi-ring DiAG machine or multicore
+// baseline running the partitioned form of a kernel, spread across the
+// given shard count; cfg has units rings or cores. The shard-util metric is the retired-instruction
+// balance across units (1.0 = perfectly even partitions), the ceiling
+// on the host-parallel speedup sharding can reach.
+func benchE2EMulti[C any, U interface{ Retired() uint64 }, M timed[U]](b *testing.B, kernel string, units int, cfg C, build func(C, *mem.Image) (M, error), shards int) {
+	img := buildKernel(b, kernel, units)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var total uint64
 	var util float64
 	for i := 0; i < b.N; i++ {
-		mach := newDiAGMachine(b, cfg, img, shards)
+		mach := newMachine(b, cfg, img, shards, build)
 		if err := mach.Run(); err != nil {
 			b.Fatal(err)
 		}
-		st := mach.Stats()
-		total += st.Retired
+		st := mach.Retired()
+		total += st
 		var max uint64
-		for r := 0; r < rings; r++ {
-			if n := mach.Ring(r).Stats().Retired; n > max {
+		for u := 0; u < units; u++ {
+			if n := mach.Unit(u).Retired(); n > max {
 				max = n
 			}
 		}
 		if max > 0 {
-			util = float64(st.Retired) / (float64(rings) * float64(max))
-		}
-	}
-	reportMIPS(b, total)
-	b.ReportMetric(util, "shard-util")
-}
-
-// benchE2EOoOMulti is benchE2EDiAGMulti for the multicore baseline.
-func benchE2EOoOMulti(b *testing.B, kernel string, cores, shards int) {
-	img := buildKernel(b, kernel, cores)
-	cfg := ooo.BaselineMulticore(cores)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total uint64
-	var util float64
-	for i := 0; i < b.N; i++ {
-		mach := newOoOMachine(b, cfg, img, shards)
-		if err := mach.Run(); err != nil {
-			b.Fatal(err)
-		}
-		st := mach.Stats()
-		total += st.Retired
-		var max uint64
-		for c := 0; c < cores; c++ {
-			if n := mach.Core(c).Stats().Retired; n > max {
-				max = n
-			}
-		}
-		if max > 0 {
-			util = float64(st.Retired) / (float64(cores) * float64(max))
+			util = float64(st) / (float64(units) * float64(max))
 		}
 	}
 	reportMIPS(b, total)

@@ -80,19 +80,10 @@ func (s *Stats) Merge(o Stats) {
 	s.StoreForwards += o.StoreForwards
 	s.Loads += o.Loads
 	s.Stores += o.Stores
-	mergeCache(&s.L1I, o.L1I)
-	mergeCache(&s.L1D, o.L1D)
-	mergeCache(&s.L2, o.L2)
+	s.L1I.Add(o.L1I)
+	s.L1D.Add(o.L1D)
+	s.L2.Add(o.L2)
 	s.DRAMAccesses += o.DRAMAccesses
-}
-
-func mergeCache(dst *cache.Stats, src cache.Stats) {
-	dst.Accesses += src.Accesses
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
-	dst.Evictions += src.Evictions
-	dst.Writebacks += src.Writebacks
-	dst.Prefetches += src.Prefetches
 }
 
 // fuPool models a class of functional units: k units, each either fully
@@ -218,6 +209,29 @@ func newCore(cfg Config, m *mem.Memory, entry uint32, shared cache.Port) *Core {
 
 // CPU exposes the core's architectural state.
 func (c *Core) CPU() *iss.CPU { return c.cpu }
+
+// Observer returns the core's event sink (nil when off).
+func (c *Core) Observer() obsv.Observer { return c.obs }
+
+// Config returns the configuration the core runs under.
+func (c *Core) Config() Config { return c.cfg }
+
+// Retired counts the core's retired instructions.
+func (c *Core) Retired() uint64 { return c.stats.Retired }
+
+// Fresh reports that the core has not stepped and carries no PreStep or
+// CPU Hook.
+func (c *Core) Fresh() bool { return c.steps == 0 && c.PreStep == nil && c.cpu.Hook == nil }
+
+// SetBudgets overrides MaxInstructions and MaxCycles (0 keeps one).
+func (c *Core) SetBudgets(maxInst uint64, maxCycles int64) {
+	if maxInst > 0 {
+		c.cfg.MaxInstructions = maxInst
+	}
+	if maxCycles > 0 {
+		c.cfg.MaxCycles = maxCycles
+	}
+}
 
 // Stats returns this core's counters with cache snapshots.
 func (c *Core) Stats() Stats {

@@ -8,6 +8,7 @@ import (
 	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
+	"diag/internal/multi"
 )
 
 // This file captures and restores full-machine state for deterministic
@@ -182,38 +183,9 @@ func (c *Core) SetState(st *CoreState) error {
 }
 
 // MachineState is a serializable copy of a complete baseline machine:
-// configuration, memory, every core, the shared L2 partitions, and the
-// DRAM access counter.
-type MachineState struct {
-	Config       Config
-	Mem          mem.State
-	Cores        []CoreState
-	L2s          []cache.State
-	DRAMAccesses uint64
-	NextCore     int
-}
-
-// State captures the machine's complete state. The machine must be
-// quiescent (not running) when captured.
-func (m *Machine) State() *MachineState {
-	st := &MachineState{
-		Config:       m.cfg,
-		Mem:          m.mem.State(),
-		Cores:        make([]CoreState, len(m.cores)),
-		L2s:          make([]cache.State, len(m.l2s)),
-		NextCore: m.nextCore,
-	}
-	for _, d := range m.drams {
-		st.DRAMAccesses += d.Accesses
-	}
-	for i, c := range m.cores {
-		st.Cores[i] = c.State()
-	}
-	for i, l2 := range m.l2s {
-		st.L2s[i] = l2.State()
-	}
-	return st
-}
+// configuration, memory, every core, the shared L2 partitions, the DRAM
+// access counter, and the next-core cursor.
+type MachineState = multi.State[Config, CoreState]
 
 // NewMachineFromState rebuilds a machine from a previously captured
 // state. The result is independent of st and continues execution
@@ -225,29 +197,9 @@ func NewMachineFromState(st *MachineState) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(st.Cores) != cfg.Cores {
-		return nil, fmt.Errorf("ooo: state has %d cores, config needs %d", len(st.Cores), cfg.Cores)
-	}
-	if st.NextCore < 0 || st.NextCore > cfg.Cores {
-		return nil, fmt.Errorf("ooo: state next-core %d out of range (%d cores)", st.NextCore, cfg.Cores)
-	}
 	mach := buildMachine(cfg, mem.NewFromState(&st.Mem), 0)
-	if len(st.L2s) != len(mach.l2s) {
-		return nil, fmt.Errorf("ooo: state has %d L2 partitions, config needs %d", len(st.L2s), len(mach.l2s))
+	if err := mach.Restore(st); err != nil {
+		return nil, err
 	}
-	for i := range mach.l2s {
-		if err := mach.l2s[i].SetState(&st.L2s[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i, c := range mach.cores {
-		if err := c.SetState(&st.Cores[i]); err != nil {
-			return nil, fmt.Errorf("ooo: core %d: %w", i, err)
-		}
-	}
-	// The per-core DRAM split is a host-side concern (Stats sums the
-	// counters); the serialized total restores into the first one.
-	mach.drams[0].Accesses = st.DRAMAccesses
-	mach.nextCore = st.NextCore
 	return mach, nil
 }

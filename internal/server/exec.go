@@ -192,7 +192,7 @@ func (sp *Spec) runFault(ctx context.Context, workers int) (*faultResult, error)
 		avf[cl.String()] = rep.AVF(cl)
 	}
 	return &faultResult{
-		Machine: rep.Machine, Trials: len(rep.Trials), Seed: rep.Seed,
+		Machine: m.Name, Trials: len(rep.Trials), Seed: rep.Seed,
 		AVF: avf, Table: rep.Table(),
 	}, nil
 }

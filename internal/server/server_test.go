@@ -557,3 +557,28 @@ func TestWorkloadRun(t *testing.T) {
 		t.Fatalf("workload result = %+v", res)
 	}
 }
+
+// TestResultsNameTheRegistryMachine pins that run and fault results
+// name the machine by its registry name, the one the request used —
+// not the configuration's display name ("OoO-8w").
+func TestResultsNameTheRegistryMachine(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	asm, _ := json.Marshal(testProg)
+	for _, kind := range []string{"run", "fault"} {
+		body := fmt.Sprintf(`{"kind":%q,"machine":"ooo","asm":%s,"trials":2,"seed":1}`, kind, asm)
+		code, v := submit(t, ts, body, true)
+		if code != http.StatusOK || v.State != StateDone {
+			t.Fatalf("%s: %d %+v", kind, code, v)
+		}
+		_, raw := fetch(t, ts, v.ResultURL)
+		var res struct {
+			Machine string `json:"machine"`
+		}
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatalf("%s body: %v", kind, err)
+		}
+		if res.Machine != "ooo" {
+			t.Errorf("%s result machine = %q, want %q", kind, res.Machine, "ooo")
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"diag/internal/diag"
 	"diag/internal/iss"
 	"diag/internal/mem"
+	"diag/internal/multi"
 	"diag/internal/ooo"
 )
 
@@ -617,48 +618,6 @@ func getRing(r *reader, s *diag.RingState) {
 // the fixed-size CPU and watchdog fields alone exceed it.
 const ringStateMin = 512
 
-func putDiAGMachine(w *writer, s *diag.MachineState) {
-	putDiAGConfig(w, &s.Config)
-	putMem(w, &s.Mem)
-	w.u32(uint32(len(s.Rings)))
-	for i := range s.Rings {
-		putRing(w, &s.Rings[i])
-	}
-	w.u32(uint32(len(s.L2s)))
-	for i := range s.L2s {
-		putCacheState(w, &s.L2s[i])
-	}
-	w.u64(s.DRAMAccesses)
-	w.vint(s.NextRing)
-}
-
-func getDiAGMachine(r *reader) *diag.MachineState {
-	s := &diag.MachineState{}
-	getDiAGConfig(r, &s.Config)
-	getMem(r, &s.Mem)
-	if n := r.count(ringStateMin); n > 0 {
-		s.Rings = make([]diag.RingState, n)
-		for i := range s.Rings {
-			if r.err != nil {
-				return s
-			}
-			getRing(r, &s.Rings[i])
-		}
-	}
-	if n := r.count(34); n > 0 { // empty cache state: 4 lengths + clock + stats
-		s.L2s = make([]cache.State, n)
-		for i := range s.L2s {
-			if r.err != nil {
-				return s
-			}
-			getCacheState(r, &s.L2s[i])
-		}
-	}
-	s.DRAMAccesses = r.u64()
-	s.NextRing = r.vint()
-	return s
-}
-
 // ---- OoO machine snapshot ----
 
 func putOoOConfig(w *writer, c *ooo.Config) {
@@ -844,35 +803,42 @@ func getCore(r *reader, s *ooo.CoreState) {
 // coreStateMin is a conservative lower bound on an encoded CoreState.
 const coreStateMin = 512
 
-func putOoOMachine(w *writer, s *ooo.MachineState) {
-	putOoOConfig(w, &s.Config)
+// ---- Machine envelope (both timing models) ----
+
+// putMachine encodes the multi-unit envelope: configuration, memory,
+// every unit, the L2 partitions, the DRAM total, and the next-unit
+// cursor.
+func putMachine[C, S any](w *writer, s *multi.State[C, S], putCfg func(*writer, *C), putUnit func(*writer, *S)) {
+	putCfg(w, &s.Config)
 	putMem(w, &s.Mem)
-	w.u32(uint32(len(s.Cores)))
-	for i := range s.Cores {
-		putCore(w, &s.Cores[i])
+	w.u32(uint32(len(s.Units)))
+	for i := range s.Units {
+		putUnit(w, &s.Units[i])
 	}
 	w.u32(uint32(len(s.L2s)))
 	for i := range s.L2s {
 		putCacheState(w, &s.L2s[i])
 	}
 	w.u64(s.DRAMAccesses)
-	w.vint(s.NextCore)
+	w.vint(s.Next)
 }
 
-func getOoOMachine(r *reader) *ooo.MachineState {
-	s := &ooo.MachineState{}
-	getOoOConfig(r, &s.Config)
+// getMachine decodes putMachine's envelope; unitMin is a lower bound on
+// one encoded unit state, bounding the unit count against the input.
+func getMachine[C, S any](r *reader, getCfg func(*reader, *C), getUnit func(*reader, *S), unitMin int) *multi.State[C, S] {
+	s := &multi.State[C, S]{}
+	getCfg(r, &s.Config)
 	getMem(r, &s.Mem)
-	if n := r.count(coreStateMin); n > 0 {
-		s.Cores = make([]ooo.CoreState, n)
-		for i := range s.Cores {
+	if n := r.count(unitMin); n > 0 {
+		s.Units = make([]S, n)
+		for i := range s.Units {
 			if r.err != nil {
 				return s
 			}
-			getCore(r, &s.Cores[i])
+			getUnit(r, &s.Units[i])
 		}
 	}
-	if n := r.count(34); n > 0 {
+	if n := r.count(34); n > 0 { // empty cache state: 4 lengths + clock + stats
 		s.L2s = make([]cache.State, n)
 		for i := range s.L2s {
 			if r.err != nil {
@@ -882,6 +848,6 @@ func getOoOMachine(r *reader) *ooo.MachineState {
 		}
 	}
 	s.DRAMAccesses = r.u64()
-	s.NextCore = r.vint()
+	s.Next = r.vint()
 	return s
 }

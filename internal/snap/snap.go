@@ -106,12 +106,12 @@ func Encode(s *Snapshot) ([]byte, error) {
 		if s.DiAG == nil {
 			return nil, fmt.Errorf("snap: DiAG snapshot has no DiAG state")
 		}
-		putDiAGMachine(w, s.DiAG)
+		putMachine(w, s.DiAG, putDiAGConfig, putRing)
 	case KindOoO:
 		if s.OoO == nil {
 			return nil, fmt.Errorf("snap: OoO snapshot has no OoO state")
 		}
-		putOoOMachine(w, s.OoO)
+		putMachine(w, s.OoO, putOoOConfig, putCore)
 	default:
 		return nil, fmt.Errorf("snap: unknown snapshot kind %d", s.Kind)
 	}
@@ -141,9 +141,9 @@ func Decode(b []byte) (*Snapshot, error) {
 	case KindISS:
 		s.ISS = getISS(r)
 	case KindDiAG:
-		s.DiAG = getDiAGMachine(r)
+		s.DiAG = getMachine(r, getDiAGConfig, getRing, ringStateMin)
 	case KindOoO:
-		s.OoO = getOoOMachine(r)
+		s.OoO = getMachine(r, getOoOConfig, getCore, coreStateMin)
 	default:
 		return nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrFormat, s.Kind)
 	}

@@ -129,7 +129,7 @@ func WithObserver(obs Observer) RunOption {
 
 // WithShards lets a multi-ring DiAG machine or multicore baseline
 // execute up to n rings/cores concurrently on host goroutines
-// (Machine.SetShards / BaselineMachine.SetShards underneath). Sharding
+// (SetShards of the shared multi-unit engine underneath). Sharding
 // is an execution strategy, not an architectural knob: statistics,
 // cycle counts, final memory, observer event streams, and error
 // attribution are byte-identical at any shard count. n <= 1 (the

@@ -38,7 +38,7 @@ kill_at_half() {
             kill -9 "$pid" 2>/dev/null || true
             break
         fi
-        sleep 0.05
+        sleep 0.01
     done
     wait "$pid" 2>/dev/null || true
 }
@@ -56,7 +56,8 @@ crash_resume() {
 
     "$run" "$run-victim" "$WORK/$run.journal" "$p_victim" 2> "$WORK/$run-victim.err" &
     kill_at_half $! "$WORK/$run.journal" "$half"
-    echo "killed with $(journal_size "$WORK/$run.journal")/$(journal_size "$WORK/$run-ref.journal") journal bytes"
+    local got=$(journal_size "$WORK/$run.journal") ref=$(journal_size "$WORK/$run-ref.journal")
+    echo "killed at $(( 100 * got / ref ))% ($got/$ref journal bytes)"
 
     "$run" "$run-resumed" "$WORK/$run.journal" "$p_resume" -resume
     for ext in "$@"; do
@@ -77,9 +78,12 @@ difftest() {
         -journal "$2" "${@:4}" > "$WORK/$1.txt"
 }
 
+# -scale 16 makes each of the 8 evaluations long (tens of ms at
+# -parallel 1) next to the 10 ms journal poll, so the kill lands near
+# the half-way mark instead of after most of the space has finished.
 SPACE='{"name":"smoke","isa":["RV32I"],"pes_per_cluster":[8,16],"clusters":[2,4],"l1d":{"sizes":[32768,65536]},"l2":{"sizes":[0]}}'
 explore() {
-    "$WORK/diag-explore" -space "$SPACE" -workloads pathfinder -scale 2 \
+    "$WORK/diag-explore" -space "$SPACE" -workloads pathfinder -scale 16 \
         -parallel "$3" ${2:+-journal "$2"} "${@:4}" \
         -frontier-out "$WORK/$1.csv" -o "$WORK/$1.txt" 2> "$WORK/$1.err"
 }

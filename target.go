@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -171,174 +172,105 @@ func WithRunUntil(n uint64) RunOption {
 	return func(o *runOpts) { o.runUntil = n }
 }
 
-// ---- DiAG target ----
+// ---- Timing-machine targets ----
 
-type diagTarget struct {
-	cfg  Config
-	mach *idiag.Machine // last successful run, for Checkpoint
+// timedMachine is the engine surface (internal/multi) both timing
+// machines share.
+type timedMachine interface {
+	SetShards(n int)
+	SetBudgets(maxInst uint64, maxCycles int64)
+	SetObserver(o Observer)
+	SetHook(h func(iss.Exec))
+	RunUntil(ctx context.Context, limit uint64) (paused bool, err error)
+	Mem() *mem.Memory
+}
+
+// timedTarget is the Target for both timing machines. The per-kind
+// steps — build, restore, capture, and the stats view — are funcs
+// bound by DiAG and OoO.
+type timedTarget[M timedMachine] struct {
+	name     string
+	kind     snap.Kind
+	build    func(*Program) (M, error)
+	restore  func(*snap.Snapshot) (M, error)
+	capture  func(M) *snap.Snapshot
+	view     func(M, *Result) // fills Cycles, Retired and the stats view
+	setFault func(*fault.Campaign)
+
+	last func() *snap.Snapshot // captures the last successful run; nil when none
 }
 
 // DiAG returns the Target for a DiAG processor with cfg. The zero
 // Config is valid (defaults apply).
-func DiAG(cfg Config) Target { return &diagTarget{cfg: cfg} }
-
-// Name implements Target.
-func (t *diagTarget) Name() string {
-	if t.cfg.Name != "" {
-		return t.cfg.Name
+func DiAG(cfg Config) Target {
+	return &timedTarget[*idiag.Machine]{
+		name:    cmp.Or(cfg.Name, "diag"),
+		kind:    snap.KindDiAG,
+		build:   func(p *Program) (*idiag.Machine, error) { return idiag.NewMachine(cfg, p) },
+		restore: func(s *snap.Snapshot) (*idiag.Machine, error) { return idiag.NewMachineFromState(s.DiAG) },
+		capture: func(m *idiag.Machine) *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindDiAG, DiAG: m.State()} },
+		view: func(m *idiag.Machine, r *Result) {
+			st := m.Stats()
+			r.Cycles, r.Retired, r.DiAG = st.Cycles, st.Retired, &st
+		},
+		setFault: func(c *fault.Campaign) { cfg := cfg; c.DiAG = &cfg },
 	}
-	return "diag"
-}
-
-// Run implements Target, executing p on a fresh DiAG machine.
-func (t *diagTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	cfg := t.cfg
-	if o.maxCycles > 0 {
-		cfg.MaxCycles = o.maxCycles
-	}
-	if o.maxInst > 0 {
-		cfg.MaxInstructions = o.maxInst
-	}
-	mach, err := idiag.NewMachine(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	mach.SetShards(o.shards)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
-}
-
-// Resume implements Target, rebuilding the machine from s.
-func (t *diagTarget) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	if s == nil || s.s == nil || s.s.Kind != snap.KindDiAG {
-		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.Name(), snapshotKind(s))
-	}
-	mach, err := idiag.NewMachineFromState(s.s.DiAG)
-	if err != nil {
-		return nil, err
-	}
-	mach.SetShards(o.shards)
-	mach.SetBudgets(o.maxInst, o.maxCycles)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
-}
-
-// drive attaches observability, runs the machine, and packages the
-// result, retaining the machine for Checkpoint on success.
-func (t *diagTarget) drive(o runOpts, mach *idiag.Machine, run func() (bool, error)) (*Result, error) {
-	t.mach = nil
-	if o.obs != nil {
-		mach.SetObserver(o.obs)
-	}
-	var rec *trace.Recorder
-	if o.trace != nil {
-		rec = trace.NewRecorder(o.traceDepth)
-		for i := 0; i < mach.Config().Rings; i++ {
-			mach.Ring(i).CPU().Hook = rec.Record
-		}
-	}
-	paused, runErr := run()
-	if rec != nil {
-		io.WriteString(o.trace, rec.MixSummary())
-		io.WriteString(o.trace, rec.Format())
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	t.mach = mach
-	st := mach.Stats()
-	return &Result{
-		Machine: t.Name(), Done: !paused,
-		Cycles: st.Cycles, Retired: st.Retired,
-		Mem: mach.Mem(), DiAG: &st,
-	}, nil
-}
-
-// Checkpoint implements Target, capturing the last successful run.
-func (t *diagTarget) Checkpoint() (*Snapshot, error) {
-	if t.mach == nil {
-		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.Name())
-	}
-	return &Snapshot{s: &snap.Snapshot{Kind: snap.KindDiAG, DiAG: t.mach.State()}}, nil
-}
-
-func (t *diagTarget) fork() Target { return &diagTarget{cfg: t.cfg} }
-
-func (t *diagTarget) campaign(c *fault.Campaign) error {
-	cfg := t.cfg
-	c.DiAG = &cfg
-	return nil
-}
-
-// ---- OoO baseline target ----
-
-type oooTarget struct {
-	cfg  BaselineConfig
-	mach *ooo.Machine
 }
 
 // OoO returns the Target for the out-of-order baseline with cfg. The
 // zero Config is valid (defaults apply).
-func OoO(cfg BaselineConfig) Target { return &oooTarget{cfg: cfg} }
-
-// Name implements Target.
-func (t *oooTarget) Name() string {
-	if t.cfg.Name != "" {
-		return t.cfg.Name
+func OoO(cfg BaselineConfig) Target {
+	return &timedTarget[*ooo.Machine]{
+		name:    cmp.Or(cfg.Name, "ooo"),
+		kind:    snap.KindOoO,
+		build:   func(p *Program) (*ooo.Machine, error) { return ooo.NewMachine(cfg, p) },
+		restore: func(s *snap.Snapshot) (*ooo.Machine, error) { return ooo.NewMachineFromState(s.OoO) },
+		capture: func(m *ooo.Machine) *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindOoO, OoO: m.State()} },
+		view: func(m *ooo.Machine, r *Result) {
+			st := m.Stats()
+			r.Cycles, r.Retired, r.Baseline = st.Cycles, st.Retired, &st
+		},
+		setFault: func(c *fault.Campaign) { cfg := cfg; c.OoO = &cfg },
 	}
-	return "ooo"
 }
 
-// Run implements Target, executing p on a fresh baseline machine.
-func (t *oooTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	cfg := t.cfg
-	if o.maxCycles > 0 {
-		cfg.MaxCycles = o.maxCycles
-	}
-	if o.maxInst > 0 {
-		cfg.MaxInstructions = o.maxInst
-	}
-	mach, err := ooo.NewMachine(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	mach.SetShards(o.shards)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
+// Name implements Target.
+func (t *timedTarget[M]) Name() string { return t.name }
+
+// Run implements Target, executing p on a fresh machine.
+func (t *timedTarget[M]) Run(p *Program, opts ...RunOption) (*Result, error) {
+	return t.drive(opts, func() (M, error) { return t.build(p) })
 }
 
 // Resume implements Target, rebuilding the machine from s.
-func (t *oooTarget) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
+func (t *timedTarget[M]) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
+	if s == nil || s.s == nil || s.s.Kind != t.kind {
+		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.name, snapshotKind(s))
+	}
+	return t.drive(opts, func() (M, error) { return t.restore(s.s) })
+}
+
+// drive builds the machine, applies the run options, runs it, and
+// packages the result, retaining the machine for Checkpoint on success.
+func (t *timedTarget[M]) drive(opts []RunOption, newMachine func() (M, error)) (*Result, error) {
 	o, ctx, cancel := applyOptions(opts)
 	defer cancel()
-	if s == nil || s.s == nil || s.s.Kind != snap.KindOoO {
-		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.Name(), snapshotKind(s))
-	}
-	mach, err := ooo.NewMachineFromState(s.s.OoO)
+	t.last = nil
+	mach, err := newMachine()
 	if err != nil {
 		return nil, err
 	}
 	mach.SetShards(o.shards)
 	mach.SetBudgets(o.maxInst, o.maxCycles)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
-}
-
-func (t *oooTarget) drive(o runOpts, mach *ooo.Machine, run func() (bool, error)) (*Result, error) {
-	t.mach = nil
 	if o.obs != nil {
 		mach.SetObserver(o.obs)
 	}
 	var rec *trace.Recorder
 	if o.trace != nil {
 		rec = trace.NewRecorder(o.traceDepth)
-		for i := 0; i < mach.Config().Cores; i++ {
-			mach.Core(i).CPU().Hook = rec.Record
-		}
+		mach.SetHook(rec.Record)
 	}
-	paused, runErr := run()
+	paused, runErr := mach.RunUntil(ctx, o.runUntil)
 	if rec != nil {
 		io.WriteString(o.trace, rec.MixSummary())
 		io.WriteString(o.trace, rec.Format())
@@ -346,28 +278,28 @@ func (t *oooTarget) drive(o runOpts, mach *ooo.Machine, run func() (bool, error)
 	if runErr != nil {
 		return nil, runErr
 	}
-	t.mach = mach
-	st := mach.Stats()
-	return &Result{
-		Machine: t.Name(), Done: !paused,
-		Cycles: st.Cycles, Retired: st.Retired,
-		Mem: mach.Mem(), Baseline: &st,
-	}, nil
+	t.last = func() *snap.Snapshot { return t.capture(mach) }
+	res := &Result{Machine: t.name, Done: !paused, Mem: mach.Mem()}
+	t.view(mach, res)
+	return res, nil
 }
 
 // Checkpoint implements Target, capturing the last successful run.
-func (t *oooTarget) Checkpoint() (*Snapshot, error) {
-	if t.mach == nil {
-		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.Name())
+func (t *timedTarget[M]) Checkpoint() (*Snapshot, error) {
+	if t.last == nil {
+		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.name)
 	}
-	return &Snapshot{s: &snap.Snapshot{Kind: snap.KindOoO, OoO: t.mach.State()}}, nil
+	return &Snapshot{s: t.last()}, nil
 }
 
-func (t *oooTarget) fork() Target { return &oooTarget{cfg: t.cfg} }
+func (t *timedTarget[M]) fork() Target {
+	f := *t
+	f.last = nil
+	return &f
+}
 
-func (t *oooTarget) campaign(c *fault.Campaign) error {
-	cfg := t.cfg
-	c.OoO = &cfg
+func (t *timedTarget[M]) campaign(c *fault.Campaign) error {
+	t.setFault(c)
 	return nil
 }
 
