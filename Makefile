@@ -53,14 +53,13 @@ difftest-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Host simulator throughput (sim-MIPS per machine model), written to
-# BENCH_host.json so every PR's trajectory is tracked. Compare two
-# checkouts with: diag-bench -hostbench-convert old.json > old.txt (and
-# likewise for new), then benchstat old.txt new.txt.
+# Host simulator throughput: run the repository benchmark (perfbench,
+# declared by BENCHMARK.json) on each workload for its run_seconds and
+# record each result line, with num_cpu and the Go version, as
+# BENCH_<workload>.json. Warn-compare a fresh run against the committed
+# baseline with: python3 scripts/bench.py compare kernels
 bench-host:
-	$(GO) run ./cmd/diag-bench -hostbench \
-		$(if $(wildcard BENCH_host.json),-hostbench-baseline BENCH_host.json) \
-		-hostbench-json BENCH_host.json
+	python3 scripts/bench.py record kernels batch serve
 
 # Regenerate the paper's evaluation artifacts as text tables.
 figures:

@@ -97,65 +97,6 @@ func BenchmarkTable3AreaPower(b *testing.B) {
 	b.ReportMetric(top/1e6, "mm2:F4C32")
 }
 
-// ---- machine micro-benchmarks ----
-
-// BenchmarkDiAGRingThroughput measures simulated instructions per second
-// of the DiAG timing model on a hot loop.
-func BenchmarkDiAGRingThroughput(b *testing.B) {
-	img, err := diag.Assemble(`
-	li   t0, 0
-	li   t1, 100000
-loop:
-	addi t2, t0, 1
-	xor  t3, t2, t1
-	and  t4, t3, t2
-	addi t0, t0, 1
-	blt  t0, t1, loop
-	ebreak
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var retired uint64
-	for i := 0; i < b.N; i++ {
-		st, _, err := diag.Run(diag.F4C16(), img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retired = st.Retired
-	}
-	b.ReportMetric(float64(retired)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkOoOCoreThroughput measures the baseline model the same way.
-func BenchmarkOoOCoreThroughput(b *testing.B) {
-	img, err := diag.Assemble(`
-	li   t0, 0
-	li   t1, 100000
-loop:
-	addi t2, t0, 1
-	xor  t3, t2, t1
-	and  t4, t3, t2
-	addi t0, t0, 1
-	blt  t0, t1, loop
-	ebreak
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var retired uint64
-	for i := 0; i < b.N; i++ {
-		res, err := diag.OoO(diag.Baseline()).Run(img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retired = res.Retired
-	}
-	b.ReportMetric(float64(retired)*float64(b.N)/b.Elapsed().Seconds(), "inst/s")
-}
-
 // BenchmarkAssembler measures assembly throughput on a workload-sized
 // source.
 func BenchmarkAssembler(b *testing.B) {

@@ -9,6 +9,7 @@
 //	diag-bench -all [-scale 2]       # everything
 //	diag-bench -all -parallel 8      # on 8 workers
 //	diag-bench -all -timeout 2m      # bound each simulation's wall clock
+//	diag-bench -all -cpuprofile diag.pprof   # profile a sweep
 //
 // Ctrl-C cancels the sweep; in-flight simulations abort within a few
 // thousand simulated instructions. With -journal every finished
@@ -26,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"diag/internal/bench"
@@ -49,15 +52,6 @@ func main() {
 	progress := flag.Bool("progress", true, "report live per-simulation progress on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	hb := hostbenchFlags{
-		run:       flag.Bool("hostbench", false, "measure host simulator throughput (sim-MIPS per model)"),
-		cases:     flag.String("hostbench-cases", "", "comma-separated hostbench case names (default: all)"),
-		jsonPath:  flag.String("hostbench-json", "", "also write the hostbench report as JSON to this file"),
-		baseline:  flag.String("hostbench-baseline", "", "compare against this BENCH_host.json (warn-only)"),
-		threshold: flag.Float64("hostbench-threshold", 0.2, "regression warning threshold (fraction of baseline sim-MIPS)"),
-		benchfmt:  flag.Bool("hostbench-benchfmt", false, "emit Go benchmark text format instead of a table"),
-		convert:   flag.String("hostbench-convert", "", "convert an existing BENCH_host.json to benchmark text format and exit"),
-	}
 	flag.Parse()
 
 	stopProfile := startCPUProfile(*cpuprofile)
@@ -132,8 +126,6 @@ func main() {
 	}
 
 	switch {
-	case *hb.run || *hb.convert != "":
-		runHostbench(hb)
 	case *list:
 		fmt.Fprintln(w, bench.Describe())
 	case *sweep != "":
@@ -205,4 +197,38 @@ func fatal(err error) {
 	}
 	fmt.Fprintln(os.Stderr, "diag-bench:", err)
 	os.Exit(1)
+}
+
+// startCPUProfile begins a pprof CPU profile; the returned func stops it.
+func startCPUProfile(path string) func() {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}
+}
+
+// writeHeapProfile snapshots the allocation profile at exit.
+func writeHeapProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	runtime.GC() // materialize up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fatal(err)
+	}
 }

@@ -262,7 +262,10 @@ func (m *Machine[C, S, U]) canShard(limit uint64) bool {
 //     sequential stream exactly;
 //   - errors: the lowest failing unit index wins, mirroring the
 //     sequential engine, which would have stopped there; diffs commit
-//     only up to (and including) that unit, and next lands on it.
+//     only up to (and including) that unit, next lands on it, and the
+//     units after it are rolled back to their pre-run state (unit, L2
+//     partition, DRAM counter), so their stats do not count and a
+//     re-run executes them — exactly as if they had never run.
 func (m *Machine[C, S, U]) runSharded(ctx context.Context) error {
 	pre := m.mem.Clone()
 	n := len(m.units)
@@ -270,8 +273,16 @@ func (m *Machine[C, S, U]) runSharded(ctx context.Context) error {
 	bufs := make([]*obsv.Buffer, n)
 	obs := make([]obsv.Observer, n)
 	errs := make([]error, n)
+	fresh := make([]S, n)
+	freshL2 := make([]cache.State, len(m.l2s))
+	freshDRAM := make([]uint64, n)
 	for i := 1; i < n; i++ {
 		u := m.units[i]
+		fresh[i] = u.State()
+		if len(m.l2s) > 0 {
+			freshL2[i] = m.l2s[i].State()
+		}
+		freshDRAM[i] = m.drams[i].Accesses
 		clones[i] = pre.Clone()
 		u.CPU().Mem = clones[i]
 		if o := u.Observer(); o != nil {
@@ -319,12 +330,23 @@ func (m *Machine[C, S, U]) runSharded(ctx context.Context) error {
 			m.units[i].SetObserver(obs[i])
 		}
 	}
-	if failed >= 0 {
-		m.next = failed
-		return m.unitErr(failed, errs[failed])
+	if failed < 0 {
+		m.next = n
+		return nil
 	}
-	m.next = n
-	return nil
+	for i := failed + 1; i < n; i++ {
+		if err := m.units[i].SetState(&fresh[i]); err != nil {
+			return m.unitErr(i, err)
+		}
+		if len(m.l2s) > 0 {
+			if err := m.l2s[i].SetState(&freshL2[i]); err != nil {
+				return m.unitErr(i, err)
+			}
+		}
+		m.drams[i].Accesses = freshDRAM[i]
+	}
+	m.next = failed
+	return m.unitErr(failed, errs[failed])
 }
 
 // Retired counts the instructions retired across all units.

@@ -101,6 +101,25 @@ loop:
 	return img
 }
 
+// failing is a kernel in which units 1 and 2 execute an unsupported
+// ecall; every unit that completes stores a marker at 0x900+4*tid.
+func failing(t *testing.T) *mem.Image {
+	return assemble(t, `
+	li   t1, 1
+	beq  tp, t1, fail
+	li   t1, 2
+	beq  tp, t1, fail
+	slli t2, tp, 2
+	li   t3, 0x900
+	add  t3, t3, t2
+	li   t4, 7
+	sw   t4, 0(t3)
+	ebreak
+fail:
+	ecall
+	`)
+}
+
 // run is one observed run's outcome.
 type run struct {
 	stats  any
@@ -154,7 +173,7 @@ func same(t *testing.T, what string, got, want run) {
 // both timing models: sharded runs equal sequential ones, the lowest
 // failing unit wins, anything that needs the sequential order (a pause,
 // a PreStep, a CPU Hook) falls back to it, and a failed sharded run
-// leaves a machine that can be inspected and run again.
+// leaves the machine a failed sequential run would, ready to run again.
 func TestShardedEngine(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -218,22 +237,7 @@ func TestShardedEngine(t *testing.T) {
 			}
 
 			t.Run("lowest-failure-wins", func(t *testing.T) {
-				// Units 1 and 2 execute an unsupported ecall; every
-				// unit that completes stores a marker.
-				bad := assemble(t, `
-	li   t1, 1
-	beq  tp, t1, fail
-	li   t1, 2
-	beq  tp, t1, fail
-	slli t2, tp, 2
-	li   t3, 0x900
-	add  t3, t3, t2
-	li   t4, 7
-	sw   t4, 0(t3)
-	ebreak
-fail:
-	ecall
-	`)
+				bad := failing(t)
 				seq := observe(t, k, bad, 1, nil)
 				sh, err := k.build(bad)
 				if err != nil {
@@ -260,25 +264,47 @@ fail:
 				if sh.Mem().Digest() != seq.digest {
 					t.Errorf("failed sharded digest %#x, want sequential %#x", sh.Mem().Digest(), seq.digest)
 				}
-
-				// Re-runnable: every unit is back on the machine's
-				// memory, so a second run (sequential now: the cursor
-				// sits on the failed unit) writes where the machine
-				// can see it, and does so deterministically.
+				// Every unit is back on the machine's memory, so the
+				// machine can be inspected and run again.
 				for i := 0; i < sh.Units(); i++ {
 					if k.cpu(sh, i).Mem != sh.Mem() {
 						t.Errorf("unit %d left on a private memory clone", i)
 					}
 				}
-				twin, err := k.build(bad)
-				if err != nil {
-					t.Fatal(err)
+			})
+
+			// A failed sharded machine is indistinguishable from a
+			// failed sequential one: the units past the failure are
+			// back in their pre-run state, so their stats do not count,
+			// and a second run (sequential now: the cursor sits on the
+			// failed unit) executes them and redoes their writes.
+			t.Run("rerun-matches-sequential", func(t *testing.T) {
+				bad := failing(t)
+				var ms [2]machine
+				for i, shards := range []int{1, 4} {
+					m, err := k.build(bad)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.SetShards(shards)
+					if m.Run() == nil {
+						t.Fatalf("shards=%d: expected a failure", shards)
+					}
+					ms[i] = m
 				}
-				twin.SetShards(4)
-				twin.Run()
-				again, twinAgain := sh.Run(), twin.Run()
-				if fmt.Sprint(again) != fmt.Sprint(twinAgain) || sh.Mem().Digest() != twin.Mem().Digest() {
-					t.Errorf("re-runs of identically failed machines diverge: %v vs %v", again, twinAgain)
+				seq, sh := ms[0], ms[1]
+				if got, want := k.stats(sh), k.stats(seq); !reflect.DeepEqual(got, want) {
+					t.Errorf("failed sharded stats diverge:\n got %+v\nwant %+v", got, want)
+				}
+				again, seqAgain := sh.Run(), seq.Run()
+				if fmt.Sprint(again) != fmt.Sprint(seqAgain) {
+					t.Errorf("re-run error %v, sequential re-run %v", again, seqAgain)
+				}
+				if got, want := k.stats(sh), k.stats(seq); !reflect.DeepEqual(got, want) {
+					t.Errorf("re-run stats diverge:\n got %+v\nwant %+v", got, want)
+				}
+				if sh.Mem().Digest() != seq.Mem().Digest() {
+					t.Errorf("re-run digest %#x, sequential re-run %#x", sh.Mem().Digest(), seq.Mem().Digest())
 				}
 				if got := sh.Mem().LoadWord(0x900); got != 7 {
 					t.Errorf("unit 0 marker lost on re-run: %d", got)

@@ -14,12 +14,11 @@
 //
 // Observability must cost nothing when it is off. The machines hold a
 // nil Observer by default and hoist the nil check out of their inner
-// step loops, so a disabled run performs zero allocations per step and
-// stays within measurement noise of the pre-observability hot paths
-// (guarded by internal/hostbench). Event is a plain value struct:
-// emitting one is a method call with no allocation; retention policy
-// (and its allocation) belongs entirely to the Observer
-// implementation.
+// step loops, so a disabled run performs zero allocations per step
+// (pinned by internal/hostbench's TestStepLoopsAllocationFree). Event
+// is a plain value struct: emitting one is a method call with no
+// allocation; retention policy (and its allocation) belongs entirely
+// to the Observer implementation.
 //
 // # Typical use
 //
