@@ -68,6 +68,9 @@ figures:
 tables:
 	$(GO) run ./cmd/diag-report -table1 -table2 -table3
 
+# Run every example. CI diffs the output against testdata/examples.txt;
+# after a deliberate output change regenerate it with
+#   make examples > testdata/examples.txt
 examples:
 	@for e in quickstart euclid simt compare baremetal interrupt faultdemo tracedemo; do \
 		echo "=== examples/$$e ==="; \

@@ -125,11 +125,11 @@ func ablate(b *testing.B, mutate func(*diag.Config)) {
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		st, _, err := diag.Run(cfg, img)
+		res, err := diag.DiAG(cfg).Run(img)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = st.Cycles
+		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles), "cycles")
 }
@@ -179,11 +179,11 @@ func BenchmarkSIMTScaling(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				st, _, err := diag.Run(cfg, img)
+				res, err := diag.DiAG(cfg).Run(img)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles = st.Cycles
+				cycles = res.Cycles
 			}
 			b.ReportMetric(float64(cycles), "cycles")
 		})
@@ -209,7 +209,7 @@ func BenchmarkWorkloadSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range progs {
-			if _, _, err := diag.Run(cfg, p.img); err != nil {
+			if _, err := diag.DiAG(cfg).Run(p.img); err != nil {
 				b.Fatalf("%s: %v", p.w.Name, err)
 			}
 		}

@@ -18,21 +18,25 @@
 //	    blt  t0, t1, loop
 //	    ebreak
 //	`)
-//	st, mem, err := diag.Run(diag.F4C16(), img)
-//	fmt.Println(st.Cycles, st.IPC())
+//	res, err := diag.DiAG(diag.F4C16()).Run(img)
+//	fmt.Println(res.Cycles, res.DiAG.IPC())
 //
-// Runs accept functional options for cancellation, budgets, and
+// Every machine — the golden ISS, a DiAG processor, the out-of-order
+// baseline — is a Target built by ISS, DiAG, or OoO, and runs the same
+// way. Runs accept functional options for cancellation, budgets, and
 // tracing, and failures map onto a typed taxonomy (ErrTimeout,
 // ErrMaxCycles, ErrMaxInstructions, ErrBadProgram):
 //
-//	st, mem, err := diag.Run(cfg, img,
+//	res, err := diag.DiAG(cfg).Run(img,
 //	    diag.WithContext(ctx), diag.WithMaxCycles(1_000_000))
 //	if errors.Is(err, diag.ErrMaxCycles) { ... }
 //
-// To compare against the out-of-order baseline:
+// To compare against the out-of-order baseline, or to check the
+// architectural result on the golden ISS:
 //
 //	base, err := diag.OoO(diag.Baseline()).Run(img)
-//	speedup := float64(base.Cycles) / float64(st.Cycles)
+//	speedup := float64(base.Cycles) / float64(res.Cycles)
+//	ref, err := diag.ISS().Run(img)
 //
 // To regenerate a paper figure (serially, or in parallel with a
 // FigureRunner):
@@ -46,7 +50,7 @@
 // Independent simulations fan out across a worker pool with Sweep:
 //
 //	results, err := diag.Sweep(ctx, []diag.SweepJob{
-//	    diag.SimJob("loop/F4C16", diag.F4C16(), img),
+//	    diag.TargetJob("loop/F4C16", diag.DiAG(diag.F4C16()), img),
 //	    diag.TargetJob("loop/OoO", diag.OoO(diag.Baseline()), img),
 //	}, diag.SweepOptions{})
 //
@@ -55,13 +59,9 @@
 package diag
 
 import (
-	"context"
-
 	"diag/internal/asm"
 	"diag/internal/bench"
 	idiag "diag/internal/diag"
-	"diag/internal/diagerr"
-	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/ooo"
 	"diag/internal/power"
@@ -118,35 +118,6 @@ func MultiRing(cfg Config, rings, clustersPerRing int) Config {
 // NewMachine builds a DiAG machine loaded with p.
 func NewMachine(cfg Config, p *Program) (*Machine, error) { return idiag.NewMachine(cfg, p) }
 
-// Run executes p on a DiAG machine and returns its statistics and final
-// memory. Options customize the run:
-//
-//	st, m, err := diag.Run(cfg, p,
-//	    diag.WithContext(ctx),      // cancellable
-//	    diag.WithMaxCycles(1e6),    // simulated-cycle budget
-//	    diag.WithTrace(os.Stderr))  // instruction mix + tail trace
-//
-// Failures match the error taxonomy (ErrTimeout, ErrMaxCycles,
-// ErrMaxInstructions, ErrBadProgram) under errors.Is. Calling Run
-// without options is the legacy serial form and remains fully
-// supported.
-//
-// Run is the flat convenience over the Target API: it is equivalent to
-// DiAG(cfg).Run(p, opts...) without the checkpoint/resume machinery.
-func Run(cfg Config, p *Program, opts ...RunOption) (Stats, *Memory, error) {
-	res, err := DiAG(cfg).Run(p, opts...)
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	return *res.DiAG, res.Mem, nil
-}
-
-// RunContext is Run with a leading context, for call sites that already
-// hold one: RunContext(ctx, cfg, p) == Run(cfg, p, WithContext(ctx)).
-func RunContext(ctx context.Context, cfg Config, p *Program, opts ...RunOption) (Stats, *Memory, error) {
-	return Run(cfg, p, append(opts, WithContext(ctx))...)
-}
-
 // ---- Out-of-order baseline ----
 
 // BaselineConfig parameterizes the out-of-order comparator (§7.1).
@@ -160,32 +131,6 @@ func Baseline() BaselineConfig { return ooo.Baseline() }
 
 // BaselineMulticore returns the paper's 12-core baseline.
 func BaselineMulticore(cores int) BaselineConfig { return ooo.BaselineMulticore(cores) }
-
-// ---- Reference execution ----
-
-// Interpret runs p on the golden instruction-set simulator (no timing)
-// and returns the final architectural state. maxInst bounds the run: if
-// the program has not halted when the bound is reached, Interpret
-// returns the partial state together with an error matching
-// ErrMaxInstructions, so a truncated run is never mistaken for a
-// completed one. Abnormal halts match ErrBadProgram.
-func Interpret(p *Program, maxInst uint64) (*iss.CPU, error) {
-	m := mem.New()
-	entry, err := p.Load(m)
-	if err != nil {
-		return nil, diagerr.Wrap(diagerr.ErrBadProgram, "diag: %v", err)
-	}
-	c := iss.New(m, entry)
-	c.Run(maxInst)
-	if c.Err != nil {
-		return c, c.Err
-	}
-	if !c.Halted {
-		return c, diagerr.Wrap(diagerr.ErrMaxInstructions,
-			"diag: interpret: instruction budget %d exhausted before halt", maxInst)
-	}
-	return c, nil
-}
 
 // ---- Energy and area ----
 

@@ -24,14 +24,14 @@ func TestPublicAssembleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, m, err := diag.Run(diag.F4C2(), img)
+	res, err := diag.DiAG(diag.F4C2()).Run(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.LoadWord(0x700) != 50 {
-		t.Errorf("result = %d", m.LoadWord(0x700))
+	if res.Mem.LoadWord(0x700) != 50 {
+		t.Errorf("result = %d", res.Mem.LoadWord(0x700))
 	}
-	if st.Cycles <= 0 || st.IPC() <= 0 {
+	if res.Cycles <= 0 || res.DiAG.Cycles != res.Cycles || res.DiAG.IPC() <= 0 {
 		t.Error("stats empty")
 	}
 	if !strings.Contains(diag.Disassemble(img), "blt") {
@@ -55,17 +55,19 @@ func TestPublicBaselineComparison(t *testing.T) {
 	}
 }
 
-func TestPublicInterpret(t *testing.T) {
+// TestPublicISS runs the same program on the golden ISS target: it
+// halts with the right answer and reports no cycles.
+func TestPublicISS(t *testing.T) {
 	img, err := diag.Assemble(tinyLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := diag.Interpret(img, 10_000)
+	res, err := diag.ISS().Run(img, diag.WithMaxInstructions(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cpu.Halted || cpu.Mem.LoadWord(0x700) != 50 {
-		t.Error("interpret wrong")
+	if !res.Done || !res.CPU.Halted || res.Mem.LoadWord(0x700) != 50 || res.Cycles != 0 {
+		t.Error("ISS run wrong")
 	}
 }
 
@@ -75,11 +77,11 @@ func TestPublicEnergyAndArea(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := diag.F4C2()
-	st, _, err := diag.Run(cfg, img)
+	res, err := diag.DiAG(cfg).Run(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := diag.Energy(cfg, st)
+	e := diag.Energy(cfg, *res.DiAG)
 	if e.Total() <= 0 {
 		t.Error("no energy")
 	}
@@ -108,11 +110,11 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, m, err := diag.Run(diag.F4C2(), img)
+	res, err := diag.DiAG(diag.F4C2()).Run(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Check(m, diag.WorkloadParams{Scale: 1, Threads: 1}); err != nil {
+	if err := w.Check(res.Mem, diag.WorkloadParams{Scale: 1, Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,8 +140,8 @@ func ExampleAssemble() {
 		sw   a2, 0(t0)
 		ebreak
 	`)
-	_, m, _ := diag.Run(diag.F4C2(), img)
-	fmt.Println(m.LoadWord(0x700))
+	res, _ := diag.DiAG(diag.F4C2()).Run(img)
+	fmt.Println(res.Mem.LoadWord(0x700))
 	// Output: 42
 }
 

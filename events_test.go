@@ -31,7 +31,7 @@ func TestGoldenEventCountsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := diag.NewEventCollector(0)
-	st, _, err := diag.Run(diag.F4C2(), p, diag.WithObserver(col))
+	res, err := diag.DiAG(diag.F4C2()).Run(p, diag.WithObserver(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestGoldenEventCountsRing(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", k, got, n)
 		}
 	}
-	if col.Count(diag.EventRetire) != st.Retired {
-		t.Errorf("retire events %d != Stats.Retired %d", col.Count(diag.EventRetire), st.Retired)
+	if col.Count(diag.EventRetire) != res.DiAG.Retired {
+		t.Errorf("retire events %d != Stats.Retired %d", col.Count(diag.EventRetire), res.DiAG.Retired)
 	}
 	if col.Total() != 409 {
 		t.Errorf("total events = %d, want 409", col.Total())
@@ -119,7 +119,7 @@ func TestObserverMetricsAgree(t *testing.T) {
 	}
 	col := diag.NewEventCollector(0)
 	met := diag.NewMetrics(0)
-	if _, _, err := diag.Run(diag.F4C2(), p, diag.WithObserver(diag.ObserverTee(col, met))); err != nil {
+	if _, err := diag.DiAG(diag.F4C2()).Run(p, diag.WithObserver(diag.ObserverTee(col, met))); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.Counter("ev/retire"); got != col.Count(diag.EventRetire) {

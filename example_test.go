@@ -8,10 +8,10 @@ import (
 	"diag"
 )
 
-// ExampleRun assembles a small counting loop and executes it on a
+// ExampleTarget assembles a small counting loop and executes it on a
 // paper-configuration DiAG machine. Retired-instruction counts are
 // architectural, so the output is stable across timing-model changes.
-func ExampleRun() {
+func ExampleTarget() {
 	img, err := diag.Assemble(`
 	    li   t0, 0
 	    li   t1, 100
@@ -23,23 +23,23 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _, err := diag.Run(diag.F4C2(), img)
+	res, err := diag.DiAG(diag.F4C2()).Run(img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("retired:", st.Retired)
+	fmt.Println("retired:", res.Retired)
 	// Output:
 	// retired: 202
 }
 
-// ExampleRun_withObserver attaches the cycle-level observability layer
+// ExampleTarget_withObserver attaches the cycle-level observability layer
 // to a run: an EventCollector retaining the event stream and a Metrics
 // registry aggregating it, teed behind one option. The pinned counts
 // are the package's golden event counts for this kernel (see
 // events_test.go): the loop body lives in one I-line, every one of the
 // 99 taken backward branches reuses the constructed datapath, and the
 // PC lane retires 202 instructions.
-func ExampleRun_withObserver() {
+func ExampleTarget_withObserver() {
 	img, err := diag.Assemble(`
 	    li   t0, 0
 	    li   t1, 100
@@ -53,7 +53,7 @@ func ExampleRun_withObserver() {
 	}
 	col := diag.NewEventCollector(0)
 	met := diag.NewMetrics(0)
-	_, _, err = diag.Run(diag.F4C2(), img,
+	_, err = diag.DiAG(diag.F4C2()).Run(img,
 		diag.WithObserver(diag.ObserverTee(col, met)))
 	if err != nil {
 		log.Fatal(err)
@@ -63,6 +63,7 @@ func ExampleRun_withObserver() {
 	fmt.Println("line loads:", met.Counter("ev/cluster-load"))
 	// col.WriteChromeTrace(w, diag.ChromeTraceOptions{}) exports the
 	// stream for https://ui.perfetto.dev.
+
 	// Output:
 	// retires: 202
 	// reuse hits: 99
@@ -87,19 +88,14 @@ func ExampleSweep() {
 		log.Fatal(err)
 	}
 	results, err := diag.Sweep(context.Background(), []diag.SweepJob{
-		diag.SimJob("sum/F4C2", diag.F4C2(), img),
+		diag.TargetJob("sum/F4C2", diag.DiAG(diag.F4C2()), img),
 		diag.TargetJob("sum/ooo", diag.OoO(diag.Baseline()), img),
 	}, diag.SweepOptions{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, r := range results {
-		switch st := r.Value.(type) {
-		case diag.Stats:
-			fmt.Printf("%s retired %d\n", r.Name, st.Retired)
-		case *diag.Result:
-			fmt.Printf("%s retired %d\n", r.Name, st.Retired)
-		}
+		fmt.Printf("%s retired %d\n", r.Name, r.Value.(*diag.Result).Retired)
 	}
 	// Output:
 	// sum/F4C2 retired 32
@@ -121,7 +117,7 @@ func ExampleFaultCampaign() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := diag.FaultCampaign(context.Background(), diag.F4C2(), img,
+	rep, err := diag.FaultCampaign(context.Background(), diag.DiAG(diag.F4C2()), img,
 		diag.WithFaultTrials(20),
 		diag.WithFaultSeed(42),
 		diag.WithFaultWorkers(4),

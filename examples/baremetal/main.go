@@ -103,11 +103,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", p.name, err)
 		}
-		st, m, err := diag.Run(cfg, img)
+		res, err := diag.DiAG(cfg).Run(img)
 		if err != nil {
 			log.Fatalf("%s: %v", p.name, err)
 		}
-		got := m.LoadWord(p.addr)
+		st, got := res.DiAG, res.Mem.LoadWord(p.addr)
 		status := "ok"
 		if got != p.want {
 			status = fmt.Sprintf("FAIL (want %d)", p.want)

@@ -48,11 +48,12 @@ func main() {
 		fmt.Sprintf("%.3g", be.Total()), 1.0)
 
 	for _, cfg := range []diag.Config{diag.F4C2(), diag.F4C16(), diag.F4C32()} {
-		st, m, err := diag.Run(cfg, build())
+		res, err := diag.DiAG(cfg).Run(build())
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := w.Check(m, p); err != nil {
+		st := *res.DiAG
+		if err := w.Check(res.Mem, p); err != nil {
 			log.Fatal(err)
 		}
 		e := diag.Energy(cfg, st)

@@ -50,12 +50,12 @@ func main() {
 	fmt.Println("Instructions in program order (one per PE, §4.1):")
 	fmt.Print(diag.Disassemble(img))
 
-	st, m, err := diag.Run(diag.F4C2(), img)
+	res, err := diag.DiAG(diag.F4C2()).Run(img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ndistance((1,2),(4,6)) = %v (want 5)\n", m.LoadFloat32(0x700))
-	fmt.Printf("cycles %d, retired %d, IPC %.2f\n", st.Cycles, st.Retired, st.IPC())
+	fmt.Printf("\ndistance((1,2),(4,6)) = %v (want 5)\n", res.Mem.LoadFloat32(0x700))
+	fmt.Printf("cycles %d, retired %d, IPC %.2f\n", res.Cycles, res.Retired, res.DiAG.IPC())
 	fmt.Println("\nIn Figure 3 terms: i0/i1 execute concurrently as soon as their")
 	fmt.Println("register lanes turn valid, i2/i3 follow one step later, i4 last —")
 	fmt.Println("the lanes implicitly resolved every RAW dependence without rename,")

@@ -44,7 +44,7 @@ func main() {
 
 	// 20 runs, each perturbed by one seed-derived bit-flip in a
 	// register lane of the F4C2 machine mid-execution.
-	rep, err := diag.FaultCampaign(context.Background(), diag.F4C2(), img,
+	rep, err := diag.FaultCampaign(context.Background(), diag.DiAG(diag.F4C2()), img,
 		diag.WithFaultTrials(20),
 		diag.WithFaultSeed(42),
 		diag.WithFaultSites(diag.FaultSiteLane))

@@ -42,11 +42,12 @@ func main() {
 	}
 
 	cfg := diag.F4C2()
-	st, m, err := diag.Run(cfg, img)
+	res, err := diag.DiAG(cfg).Run(img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("dot product = %v\n", m.LoadFloat32(0x700))
+	st := *res.DiAG
+	fmt.Printf("dot product = %v\n", res.Mem.LoadFloat32(0x700))
 	fmt.Printf("DiAG %s:  %5d cycles, IPC %.2f, %d datapath reuses\n",
 		cfg.Name, st.Cycles, st.IPC(), st.ReuseHits)
 

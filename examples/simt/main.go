@@ -66,11 +66,11 @@ func run(simt bool, cfg diag.Config) diag.Stats {
 	img.Segments = append(img.Segments,
 		mem.Segment{Addr: 0x100000, Data: data},
 		mem.Segment{Addr: 0x104000, Data: data})
-	st, _, err := diag.Run(cfg, img)
+	res, err := diag.DiAG(cfg).Run(img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return st
+	return *res.DiAG
 }
 
 func main() {

@@ -54,13 +54,13 @@ func main() {
 	// export, the registry folds it into counters and histograms.
 	col := diag.NewEventCollector(0)
 	met := diag.NewMetrics(0)
-	st, _, err := diag.Run(diag.F4C2(), img,
+	res, err := diag.DiAG(diag.F4C2()).Run(img,
 		diag.WithObserver(diag.ObserverTee(col, met)))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("retired %d in %d cycles (IPC %.2f)\n\n", st.Retired, st.Cycles, st.IPC())
+	fmt.Printf("retired %d in %d cycles (IPC %.2f)\n\n", res.Retired, res.Cycles, res.DiAG.IPC())
 	fmt.Printf("events: %d total, %d reuse hits, %d line loads\n\n",
 		col.Total(), col.Count(diag.EventClusterReuse), col.Count(diag.EventClusterLoad))
 	fmt.Print(met.Summary())

@@ -16,7 +16,7 @@ import (
 // standard taxonomy — masked, SDC, detected, crash, hang. Campaigns
 // replay exactly from their seed regardless of worker count.
 //
-//	rep, err := diag.FaultCampaign(ctx, diag.F4C16(), img,
+//	rep, err := diag.FaultCampaign(ctx, diag.DiAG(diag.F4C16()), img,
 //	    diag.WithFaultTrials(1000), diag.WithFaultSeed(42))
 //	fmt.Println(rep.Table())
 
@@ -105,30 +105,45 @@ func WithFaultWarmup(n uint64) FaultOption {
 	return func(c *fault.Campaign) { c.Warmup = n }
 }
 
-// FaultCampaign runs a Monte Carlo fault-injection campaign of p on a
-// DiAG machine. cfg must be single-ring (fault campaigns perturb one
-// hart). The error covers campaign-level failures only — per-trial
-// failures are the measurement and land in the report.
-func FaultCampaign(ctx context.Context, cfg Config, p *Program, opts ...FaultOption) (*FaultReport, error) {
-	c := &fault.Campaign{Image: p, DiAG: &cfg}
-	for _, o := range opts {
-		o(c)
+// FaultCampaign runs a Monte Carlo fault-injection campaign of p on
+// t's machine. t must be a single-ring DiAG or single-core OoO target
+// (fault campaigns perturb one hart); an ISS target errors, as it has
+// no hardware to perturb. The error covers campaign-level failures
+// only — per-trial failures are the measurement and land in the
+// report.
+func FaultCampaign(ctx context.Context, t Target, p *Program, opts ...FaultOption) (*FaultReport, error) {
+	c, err := newCampaign(t, p, opts)
+	if err != nil {
+		return nil, err
 	}
 	return c.Run(ctx)
 }
 
-// FaultReplay re-runs one trial of a finished DiAG campaign with a
+// FaultReplay re-runs one trial of a finished campaign with a
 // cycle-level observer attached, so a surprising outcome — an SDC, a
 // hang — can be examined event by event (typically by exporting an
-// EventCollector's Chrome trace to Perfetto). cfg, p, and the options
-// must match the campaign that produced rep; the replayed trial's fault,
-// budgets, and classification are then identical to rep.Trials[trial].
-func FaultReplay(ctx context.Context, cfg Config, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
-	c := &fault.Campaign{Image: p, DiAG: &cfg}
+// EventCollector's Chrome trace to Perfetto). t, p, and the options
+// must match the campaign that produced rep; the replayed trial's
+// fault, budgets, and classification are then identical to
+// rep.Trials[trial].
+func FaultReplay(ctx context.Context, t Target, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
+	c, err := newCampaign(t, p, opts)
+	if err != nil {
+		return FaultTrial{}, err
+	}
+	return c.Replay(ctx, rep, trial, obs)
+}
+
+// newCampaign configures a campaign of p on t's machine.
+func newCampaign(t Target, p *Program, opts []FaultOption) (*fault.Campaign, error) {
+	c := &fault.Campaign{Image: p}
+	if err := t.campaign(c); err != nil {
+		return nil, err
+	}
 	for _, o := range opts {
 		o(c)
 	}
-	return c.Replay(ctx, rep, trial, obs)
+	return c, nil
 }
 
 // DegradePoint is one entry of a degraded-mode slowdown curve.

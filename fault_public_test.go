@@ -25,7 +25,7 @@ loop:
 
 func TestFaultCampaignPublicAPI(t *testing.T) {
 	img := mustAssemble(t, sumKernel)
-	rep, err := diag.FaultCampaign(context.Background(), diag.F4C2(), img,
+	rep, err := diag.FaultCampaign(context.Background(), diag.DiAG(diag.F4C2()), img,
 		diag.WithFaultTrials(30),
 		diag.WithFaultSeed(42),
 		diag.WithFaultWorkers(4),
@@ -46,7 +46,7 @@ func TestFaultCampaignPublicAPI(t *testing.T) {
 	}
 
 	// Same seed replays the identical campaign.
-	rep2, err := diag.FaultCampaign(context.Background(), diag.F4C2(), img,
+	rep2, err := diag.FaultCampaign(context.Background(), diag.DiAG(diag.F4C2()), img,
 		diag.WithFaultTrials(30), diag.WithFaultSeed(42), diag.WithFaultWorkers(1),
 		diag.WithFaultSites(diag.FaultSiteLane, diag.FaultSitePC))
 	if err != nil {
@@ -56,12 +56,11 @@ func TestFaultCampaignPublicAPI(t *testing.T) {
 		t.Fatal("fixed-seed campaign not reproducible across worker counts")
 	}
 
-	// The baseline accepts the same options through the Target entry
-	// point.
-	brep, err := diag.FaultCampaignOn(context.Background(), diag.OoO(diag.Baseline()), img,
+	// The baseline target accepts the same options.
+	brep, err := diag.FaultCampaign(context.Background(), diag.OoO(diag.Baseline()), img,
 		diag.WithFaultTrials(10), diag.WithFaultSeed(7))
 	if err != nil {
-		t.Fatalf("FaultCampaignOn: %v", err)
+		t.Fatalf("FaultCampaign on the baseline: %v", err)
 	}
 	if len(brep.Trials) != 10 {
 		t.Fatalf("baseline: got %d trials, want 10", len(brep.Trials))

@@ -26,6 +26,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"diag/internal/isa"
@@ -102,8 +103,11 @@ func (a *assembler) assemble(source string) (*mem.Image, error) {
 	if err := a.runPass(); err != nil {
 		return nil, err
 	}
-	// Pass 2: encode.
+	// Pass 2: encode into sections sized by pass 1, so no statement
+	// reallocates them.
 	a.pass = 2
+	a.text = make([]uint32, 0, (a.textPC-a.textBase)/4)
+	a.data = make([]byte, 0, a.dataPC-a.dataBase)
 	if err := a.runPass(); err != nil {
 		return nil, err
 	}
@@ -254,11 +258,28 @@ func (a *assembler) pc() uint32 {
 	return a.dataPC
 }
 
+// advance moves the current section's location counter n bytes on. A
+// counter that would run past 0xFFFFFFFF is an error, not a wrap.
+func (a *assembler) advance(st statement, n uint32) error {
+	pc := &a.dataPC
+	if a.sec == secText {
+		pc = &a.textPC
+	}
+	if *pc+n < *pc {
+		return a.errf(st.line, "%s: location counter 0x%x + %d runs past 0xffffffff", st.mnem, *pc, n)
+	}
+	*pc += n
+	return nil
+}
+
 // emit appends one encoded instruction word (pass 2) or just advances the
 // location counter (pass 1).
 func (a *assembler) emit(st statement, in isa.Inst) error {
 	if a.sec != secText {
 		return a.errf(st.line, "instruction outside .text")
+	}
+	if err := a.advance(st, 4); err != nil {
+		return err
 	}
 	if a.pass == 2 {
 		w, err := isa.Encode(in)
@@ -267,7 +288,6 @@ func (a *assembler) emit(st statement, in isa.Inst) error {
 		}
 		a.text = append(a.text, w)
 	}
-	a.textPC += 4
 	return nil
 }
 
@@ -275,9 +295,39 @@ func (a *assembler) emitData(st statement, b []byte) error {
 	if a.sec != secData {
 		return a.errf(st.line, "data directive outside .data")
 	}
+	if err := a.advance(st, uint32(len(b))); err != nil {
+		return err
+	}
 	if a.pass == 2 {
 		a.data = append(a.data, b...)
 	}
-	a.dataPC += uint32(len(b))
 	return nil
 }
+
+// pad advances the current section n bytes, filling the gap with zero
+// bytes in .data and with nops in .text (where n is a multiple of 4).
+// Pass 1 only moves the location counter; pass 2 grows the section
+// once, never materializing the gap anywhere else.
+func (a *assembler) pad(st statement, n uint32) error {
+	if err := a.advance(st, n); err != nil {
+		return err
+	}
+	if a.pass == 1 {
+		return nil
+	}
+	if a.sec == secData {
+		start := len(a.data)
+		a.data = slices.Grow(a.data, int(n))[:start+int(n)]
+		clear(a.data[start:])
+		return nil
+	}
+	start := len(a.text)
+	a.text = slices.Grow(a.text, int(n/4))[:start+int(n/4)]
+	for i := start; i < len(a.text); i++ {
+		a.text[i] = nopWord
+	}
+	return nil
+}
+
+// nopWord is the encoding of addi x0, x0, 0, the .text padding.
+const nopWord = 0x00000013

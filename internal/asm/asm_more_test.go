@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -307,6 +308,35 @@ func TestFormatRErrorsPropagate(t *testing.T) {
 	} {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("%q should fail", src)
+		}
+	}
+}
+
+// TestLargeGapAllocatesOnce pins the cost of a large .space or .org gap
+// to one section-sized allocation: pass 1 only advances the location
+// counter, and pass 2 fills sections presized from it.
+func TestLargeGapAllocatesOnce(t *testing.T) {
+	for _, src := range []string{
+		".data\n.space 0x4000000\n.text\nebreak",
+		"nop\n.org 0x4000000\nebreak",
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		img, err := Assemble(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		size := 4 * len(img.Text)
+		for _, s := range img.Segments {
+			size += len(s.Data)
+		}
+		if size < 63<<20 {
+			t.Fatalf("%q: image is %d bytes, want about 64 MiB", src, size)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(size)*5/4 {
+			t.Errorf("%q: allocated %d bytes for a %d-byte image, want at most 1.25x", src, got, size)
 		}
 	}
 }

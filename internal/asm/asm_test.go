@@ -320,6 +320,12 @@ func TestErrors(t *testing.T) {
 		{"unknown directive", ".bogus 1", "unknown directive"},
 		{"org backwards", "nop\n.org 0x0", "backwards"},
 		{"branch too far", "beq a0, a1, far\n.org 0x10000\nfar: nop", "out of range"},
+		// A location counter past 0xFFFFFFFF fails on its own line
+		// instead of wrapping to address 0.
+		{"space wraps", ".data\n.org 0xfffffff0\n.space 0x20", "line 3: .space: location counter"},
+		{"word wraps", ".data\n.org 0xfffffffc\n.word 1, 2", "line 3: .word: location counter"},
+		{"align wraps", ".data\n.org 0xfffffff1\n.align 4", "line 3: .align: location counter"},
+		{"text wraps", ".org 0xfffffff8\nnop\nnop", "line 3: nop: location counter"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

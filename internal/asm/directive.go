@@ -70,7 +70,10 @@ func (a *assembler) directive(st statement) error {
 		if err != nil {
 			return err
 		}
-		return a.emitData(st, make([]byte, n))
+		if a.sec != secData {
+			return a.errf(st.line, "data directive outside .data")
+		}
+		return a.pad(st, n)
 	case ".ascii", ".asciz":
 		if len(st.args) != 1 {
 			return a.errf(st.line, "%s needs one string", st.mnem)
@@ -125,13 +128,7 @@ func (a *assembler) setOrg(st statement, addr uint32) error {
 		if addr&3 != 0 {
 			return a.errf(st.line, ".org 0x%x not word aligned in .text", addr)
 		}
-		for a.textPC < addr {
-			if a.pass == 2 {
-				a.text = append(a.text, 0x00000013) // nop padding
-			}
-			a.textPC += 4
-		}
-		return nil
+		return a.pad(st, (addr-a.textPC+3)&^3)
 	}
 	if len(a.data) == 0 && a.dataPC == a.dataBase {
 		a.dataBase = addr
@@ -141,7 +138,7 @@ func (a *assembler) setOrg(st statement, addr uint32) error {
 	if addr < a.dataPC {
 		return a.errf(st.line, ".org 0x%x moves data backwards (pc 0x%x)", addr, a.dataPC)
 	}
-	return a.emitData(st, make([]byte, addr-a.dataPC))
+	return a.pad(st, addr-a.dataPC)
 }
 
 func (a *assembler) alignTo(st statement, align uint32) error {
@@ -150,19 +147,10 @@ func (a *assembler) alignTo(st statement, align uint32) error {
 	}
 	pc := a.pc()
 	pad := (align - pc%align) % align
-	if a.sec == secText {
-		if pad%4 != 0 {
-			return a.errf(st.line, ".align %d impossible in .text", align)
-		}
-		for i := uint32(0); i < pad; i += 4 {
-			if a.pass == 2 {
-				a.text = append(a.text, 0x00000013)
-			}
-			a.textPC += 4
-		}
-		return nil
+	if a.sec == secText && pad%4 != 0 {
+		return a.errf(st.line, ".align %d impossible in .text", align)
 	}
-	return a.emitData(st, make([]byte, pad))
+	return a.pad(st, pad)
 }
 
 // eval evaluates an immediate expression: integer literal, char literal,

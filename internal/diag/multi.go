@@ -1,8 +1,6 @@
 package diag
 
 import (
-	"context"
-
 	"diag/internal/cache"
 	"diag/internal/mem"
 	"diag/internal/multi"
@@ -68,16 +66,11 @@ func (m *Machine) Stats() Stats {
 // RunImage is the one-call convenience: build a machine, run it, return
 // the stats and final memory.
 func RunImage(cfg Config, img *mem.Image) (Stats, *mem.Memory, error) {
-	return RunImageContext(context.Background(), cfg, img)
-}
-
-// RunImageContext is RunImage with cancellation.
-func RunImageContext(ctx context.Context, cfg Config, img *mem.Image) (Stats, *mem.Memory, error) {
 	mach, err := NewMachine(cfg, img)
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	if err := mach.RunContext(ctx); err != nil {
+	if err := mach.Run(); err != nil {
 		return Stats{}, nil, err
 	}
 	return mach.Stats(), mach.Mem(), nil

@@ -61,7 +61,7 @@ func TestSelfModifyingCodeMatchesISS(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := iss.New(gm, entry)
-	golden.X[isa.GP] = 1 // match the machine's thread-count convention
+	golden.Boot(0, 1) // match the machine's single ring
 	golden.Run(100000)
 	if golden.Err != nil {
 		t.Fatalf("golden ISS: %v", golden.Err)

@@ -56,15 +56,6 @@ type Arch struct {
 	Run    func(ctx context.Context, img *mem.Image, b Budget) ArchResult
 }
 
-// hart boot convention shared by every column: tp = hart id (0),
-// gp = hart count (1) — what the machines set on their single ring/core.
-func bootISS(m *mem.Memory, entry uint32) *iss.CPU {
-	c := iss.New(m, entry)
-	c.X[isa.TP] = 0
-	c.X[isa.GP] = 1
-	return c
-}
-
 func issArch(name string, noPredecode, noSuperblock bool) Arch {
 	return Arch{Name: name, Golden: !noPredecode && !noSuperblock,
 		Run: func(_ context.Context, img *mem.Image, b Budget) ArchResult {
@@ -75,7 +66,8 @@ func issArch(name string, noPredecode, noSuperblock bool) Arch {
 				res.Err = err.Error()
 				return res
 			}
-			c := bootISS(m, entry)
+			c := iss.New(m, entry)
+			c.Boot(0, 1) // what the machines apply to their single ring/core
 			c.NoPredecode = noPredecode
 			c.NoSuperblock = noSuperblock
 			budget := b.MaxInst

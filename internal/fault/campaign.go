@@ -11,7 +11,6 @@ import (
 	"diag/internal/diag"
 	"diag/internal/diagerr"
 	"diag/internal/exp"
-	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/journal"
 	"diag/internal/mem"
@@ -576,10 +575,7 @@ func goldenRun(img *mem.Image, cap uint64) (goldenRef, uint64, error) {
 		return goldenRef{}, 0, err
 	}
 	cpu := iss.New(m, entry)
-	// Match the machines' single-hart boot convention (tp = hart id,
-	// gp = hart count): workloads read these to partition their work.
-	cpu.X[isa.TP] = 0
-	cpu.X[isa.GP] = 1
+	cpu.Boot(0, 1) // the single hart a campaign's machine runs
 	cpu.Run(cap)
 	if cpu.Err != nil {
 		return goldenRef{}, 0, cpu.Err

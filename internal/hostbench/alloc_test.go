@@ -10,7 +10,6 @@ import (
 
 	"diag/internal/asm"
 	idiag "diag/internal/diag"
-	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/ooo"
@@ -210,11 +209,9 @@ func TestE2EWarmedAllocationsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		cpu := iss.New(m, entry)
-		// Single-hart boot convention (tp = hart id, gp = hart count):
-		// without it the partitioned kernel divides by a zero thread
-		// count and exits after a handful of instructions.
-		cpu.X[isa.TP] = 0
-		cpu.X[isa.GP] = 1
+		// Without the boot convention the partitioned kernel divides by
+		// a zero thread count and exits after a handful of instructions.
+		cpu.Boot(0, 1)
 		cpu.Run(1) // fault in the lazy predecode/superblock caches
 		cpus[i] = cpu
 	}

@@ -150,6 +150,16 @@ func New(m *mem.Memory, entry uint32) *CPU {
 	}
 }
 
+// Boot applies the hart boot convention every machine model shares:
+// tp holds this hart's id and gp the machine's hart count. Multi-thread
+// workloads read the two registers to partition their work, so a CPU
+// that skips Boot runs as hart 0 of zero harts and computes the wrong
+// answer. Call it after New (or Reset) and before the first Step.
+func (c *CPU) Boot(hart, harts int) {
+	c.X[isa.TP] = uint32(hart)
+	c.X[isa.GP] = uint32(harts)
+}
+
 // Reset rewinds architectural state to the entry point, keeping memory.
 func (c *CPU) Reset(entry uint32) {
 	c.PC = entry

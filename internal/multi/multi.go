@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"diag/internal/cache"
-	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/obsv"
@@ -103,8 +102,7 @@ func New[C, S any, U Unit[C, S]](names Names, m *mem.Memory, n, l2Size, dramLate
 			shared = l2
 		}
 		u := newUnit(i, shared)
-		u.CPU().X[isa.TP] = uint32(i)
-		u.CPU().X[isa.GP] = uint32(n)
+		u.CPU().Boot(i, n)
 		mach.units = append(mach.units, u)
 	}
 	return mach

@@ -24,7 +24,7 @@
 //
 //	col := obsv.NewCollector(0)
 //	reg := obsv.NewRegistry(256)
-//	st, _, err := diag.Run(cfg, img, diag.WithObserver(obsv.Tee(col, reg)))
+//	res, err := diag.DiAG(cfg).Run(img, diag.WithObserver(obsv.Tee(col, reg)))
 //	col.WriteChromeTrace(w, obsv.ChromeTraceOptions{})  // open in Perfetto
 //	reg.WriteCSV(w2)                                    // occupancy timeseries
 //

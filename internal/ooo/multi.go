@@ -1,8 +1,6 @@
 package ooo
 
 import (
-	"context"
-
 	"diag/internal/cache"
 	"diag/internal/mem"
 	"diag/internal/multi"
@@ -61,16 +59,11 @@ func (m *Machine) Stats() Stats {
 
 // RunImage builds a machine, runs it, and returns stats and final memory.
 func RunImage(cfg Config, img *mem.Image) (Stats, *mem.Memory, error) {
-	return RunImageContext(context.Background(), cfg, img)
-}
-
-// RunImageContext is RunImage with cancellation.
-func RunImageContext(ctx context.Context, cfg Config, img *mem.Image) (Stats, *mem.Memory, error) {
 	mach, err := NewMachine(cfg, img)
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	if err := mach.RunContext(ctx); err != nil {
+	if err := mach.Run(); err != nil {
 		return Stats{}, nil, err
 	}
 	return mach.Stats(), mach.Mem(), nil

@@ -21,8 +21,7 @@ func issRunThreads(t testing.TB, img *mem.Image, threads int) *mem.Memory {
 	}
 	for tid := 0; tid < threads; tid++ {
 		c := iss.New(m, entry)
-		c.X[4] = uint32(tid)     // tp
-		c.X[3] = uint32(threads) // gp
+		c.Boot(tid, threads)
 		if n := c.Run(200_000_000); n == 200_000_000 {
 			t.Fatalf("thread %d did not halt", tid)
 		}
@@ -237,7 +236,7 @@ func TestGoldenEndStateAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := iss.New(gm, entry)
-			g.X[4], g.X[3] = 0, 1 // tp = hart id, gp = hart count
+			g.Boot(0, 1)
 			g.Run(200_000_000)
 			if g.Err != nil || !g.Halted {
 				t.Fatalf("golden run: halted=%v err=%v", g.Halted, g.Err)
@@ -286,7 +285,7 @@ func TestScaleGrowsWork(t *testing.T) {
 		m := mem.New()
 		entry, _ := img.Load(m)
 		c := iss.New(m, entry)
-		c.X[3] = 1
+		c.Boot(0, 1)
 		c.Run(200_000_000)
 		return c.Instret
 	}

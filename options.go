@@ -13,7 +13,7 @@ import (
 
 // ---- Error taxonomy ----
 //
-// Every failure mode of Run, Target.Run, Interpret, and Sweep maps to
+// Every failure mode of Target.Run, Target.Resume, and Sweep maps to
 // one of these sentinels; test with errors.Is. The concrete errors
 // carry detailed messages ("iss: misaligned lw at 0x104 (PC 0x40)") and
 // match the sentinel through wrapping.
@@ -27,8 +27,7 @@ var (
 	// simulated cycles.
 	ErrMaxCycles = diagerr.ErrMaxCycles
 	// ErrMaxInstructions: the run exceeded its retired-instruction
-	// budget (WithMaxInstructions, the machine's default cap, or
-	// Interpret's maxInst bound).
+	// budget (WithMaxInstructions or the machine's default cap).
 	ErrMaxInstructions = diagerr.ErrMaxInstructions
 	// ErrBadProgram: the program itself is broken — undecodable
 	// instruction, misaligned access, unsupported system call, or a
@@ -36,16 +35,16 @@ var (
 	ErrBadProgram = diagerr.ErrBadProgram
 	// ErrStalled: the machine's retirement watchdog proved a livelock —
 	// the full architectural state recurred with no intervening store,
-	// so the program can never halt. Returned by Run and Target.Run
-	// long before a cycle budget would expire.
+	// so the program can never halt. Returned by Target.Run long
+	// before a cycle budget would expire.
 	ErrStalled = diagerr.ErrStalled
 )
 
 // ---- Functional run options ----
 
-// RunOption customizes Run, RunContext, and Target.Run and Resume:
+// RunOption customizes Target.Run and Target.Resume:
 //
-//	st, m, err := diag.Run(cfg, p,
+//	res, err := diag.DiAG(cfg).Run(p,
 //	    diag.WithContext(ctx),
 //	    diag.WithMaxCycles(1_000_000),
 //	    diag.WithTrace(os.Stderr))
@@ -119,7 +118,7 @@ func WithTraceDepth(n int) RunOption {
 //
 //	col := diag.NewEventCollector(0)
 //	met := diag.NewMetrics(0)
-//	st, _, err := diag.Run(cfg, p, diag.WithObserver(diag.ObserverTee(col, met)))
+//	res, err := diag.DiAG(cfg).Run(p, diag.WithObserver(diag.ObserverTee(col, met)))
 //
 // A nil obs leaves observability off (the default), which costs the hot
 // step loops nothing. See docs/OBSERVABILITY.md for the event taxonomy.
@@ -178,15 +177,6 @@ type SweepOptions = exp.Options
 // results; Sweep itself only errors when ctx is done.
 func Sweep(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]SweepResult, error) {
 	return exp.Run(ctx, jobs, opt)
-}
-
-// SimJob builds a sweep job that runs p on a DiAG machine with cfg; the
-// result value is Stats.
-func SimJob(name string, cfg Config, p *Program, opts ...RunOption) SweepJob {
-	return SweepJob{Name: name, Run: func(ctx context.Context) (any, error) {
-		st, _, err := Run(cfg, p, append(opts, WithContext(ctx))...)
-		return st, err
-	}}
 }
 
 // ---- Parallel figure regeneration ----

@@ -45,9 +45,9 @@ func mustAssemble(t *testing.T, src string) *diag.Program {
 
 func TestWithMaxCycles(t *testing.T) {
 	img := mustAssemble(t, spinBusy)
-	_, _, err := diag.Run(diag.F4C2(), img, diag.WithMaxCycles(1000))
+	_, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithMaxCycles(1000))
 	if !errors.Is(err, diag.ErrMaxCycles) {
-		t.Errorf("Run: err = %v, want ErrMaxCycles", err)
+		t.Errorf("DiAG Run: err = %v, want ErrMaxCycles", err)
 	}
 	_, err = diag.OoO(diag.Baseline()).Run(img, diag.WithMaxCycles(1000))
 	if !errors.Is(err, diag.ErrMaxCycles) {
@@ -57,9 +57,9 @@ func TestWithMaxCycles(t *testing.T) {
 
 func TestWithMaxInstructions(t *testing.T) {
 	img := mustAssemble(t, spinBusy)
-	_, _, err := diag.Run(diag.F4C2(), img, diag.WithMaxInstructions(5000))
+	_, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithMaxInstructions(5000))
 	if !errors.Is(err, diag.ErrMaxInstructions) {
-		t.Errorf("Run: err = %v, want ErrMaxInstructions", err)
+		t.Errorf("DiAG Run: err = %v, want ErrMaxInstructions", err)
 	}
 	if errors.Is(err, diag.ErrMaxCycles) {
 		t.Error("instruction-budget error must not match ErrMaxCycles")
@@ -73,7 +73,7 @@ func TestWithMaxInstructions(t *testing.T) {
 func TestWithTimeout(t *testing.T) {
 	img := mustAssemble(t, spinBusy)
 	start := time.Now()
-	_, _, err := diag.Run(diag.F4C2(), img, diag.WithTimeout(50*time.Millisecond))
+	_, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithTimeout(50*time.Millisecond))
 	if !errors.Is(err, diag.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -91,9 +91,9 @@ func TestWithContextCancellation(t *testing.T) {
 	img := mustAssemble(t, spin)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must abort almost immediately
-	_, _, err := diag.Run(diag.F4C2(), img, diag.WithContext(ctx))
+	_, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Run: err = %v, want context.Canceled", err)
+		t.Errorf("DiAG Run: err = %v, want context.Canceled", err)
 	}
 	_, err = diag.OoO(diag.Baseline()).Run(img, diag.WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
@@ -103,22 +103,22 @@ func TestWithContextCancellation(t *testing.T) {
 
 func TestBadProgramTaxonomy(t *testing.T) {
 	img := mustAssemble(t, trap)
-	if _, _, err := diag.Run(diag.F4C2(), img); !errors.Is(err, diag.ErrBadProgram) {
-		t.Errorf("Run: err = %v, want ErrBadProgram", err)
+	if _, err := diag.DiAG(diag.F4C2()).Run(img); !errors.Is(err, diag.ErrBadProgram) {
+		t.Errorf("DiAG Run: err = %v, want ErrBadProgram", err)
 	}
 	if _, err := diag.OoO(diag.Baseline()).Run(img); !errors.Is(err, diag.ErrBadProgram) {
 		t.Errorf("OoO Run: err = %v, want ErrBadProgram", err)
 	}
-	if _, err := diag.Interpret(img, 1000); !errors.Is(err, diag.ErrBadProgram) {
-		t.Errorf("Interpret: err = %v, want ErrBadProgram", err)
+	if _, err := diag.ISS().Run(img, diag.WithMaxInstructions(1000)); !errors.Is(err, diag.ErrBadProgram) {
+		t.Errorf("ISS Run: err = %v, want ErrBadProgram", err)
 	}
 }
 
 func TestStalledTaxonomy(t *testing.T) {
 	img := mustAssemble(t, spin)
-	_, _, err := diag.Run(diag.F4C2(), img)
+	_, err := diag.DiAG(diag.F4C2()).Run(img)
 	if !errors.Is(err, diag.ErrStalled) {
-		t.Errorf("Run: err = %v, want ErrStalled", err)
+		t.Errorf("DiAG Run: err = %v, want ErrStalled", err)
 	}
 	if errors.Is(err, diag.ErrMaxCycles) || errors.Is(err, diag.ErrMaxInstructions) {
 		t.Error("a proven livelock must not match the budget sentinels")
@@ -129,25 +129,31 @@ func TestStalledTaxonomy(t *testing.T) {
 	}
 }
 
-func TestInterpretInstructionBudget(t *testing.T) {
+// TestISSInstructionBudget: an ISS run that exhausts its budget fails
+// with ErrMaxInstructions, so a truncated run is never mistaken for a
+// completed one; the partial state is reached with WithRunUntil, which
+// pauses instead of failing.
+func TestISSInstructionBudget(t *testing.T) {
 	img := mustAssemble(t, spin)
-	cpu, err := diag.Interpret(img, 10)
-	if !errors.Is(err, diag.ErrMaxInstructions) {
+	if _, err := diag.ISS().Run(img, diag.WithMaxInstructions(10)); !errors.Is(err, diag.ErrMaxInstructions) {
 		t.Fatalf("err = %v, want ErrMaxInstructions", err)
 	}
-	// The partial state is still returned alongside the error.
-	if cpu == nil || cpu.Instret != 10 {
-		t.Errorf("partial state: cpu = %+v", cpu)
+	res, err := diag.ISS().Run(img, diag.WithRunUntil(10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cpu.Halted {
-		t.Error("a budget-truncated run must not report Halted")
+	if res.Done || res.CPU.Instret != 10 {
+		t.Errorf("partial state: Done = %v, Instret = %d; want false, 10", res.Done, res.CPU.Instret)
+	}
+	if res.CPU.Halted {
+		t.Error("a paused run must not report Halted")
 	}
 }
 
 func TestWithTrace(t *testing.T) {
 	img := mustAssemble(t, tinyLoop)
 	var buf bytes.Buffer
-	_, _, err := diag.Run(diag.F4C2(), img, diag.WithTrace(&buf), diag.WithTraceDepth(8))
+	_, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithTrace(&buf), diag.WithTraceDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +193,8 @@ func TestSweepOrderingAndTaxonomy(t *testing.T) {
 	good := mustAssemble(t, tinyLoop)
 	bad := mustAssemble(t, trap)
 	jobs := []diag.SweepJob{
-		diag.SimJob("good/F4C2", diag.F4C2(), good),
-		diag.SimJob("bad/F4C2", diag.F4C2(), bad),
+		diag.TargetJob("good/F4C2", diag.DiAG(diag.F4C2()), good),
+		diag.TargetJob("bad/F4C2", diag.DiAG(diag.F4C2()), bad),
 		diag.TargetJob("good/OoO", diag.OoO(diag.Baseline()), good),
 	}
 	results, err := diag.Sweep(context.Background(), jobs, diag.SweepOptions{Workers: 3})
@@ -203,7 +209,7 @@ func TestSweepOrderingAndTaxonomy(t *testing.T) {
 			t.Errorf("result %d out of order: %+v", i, r)
 		}
 	}
-	if st, ok := results[0].Value.(diag.Stats); !ok || st.Cycles <= 0 {
+	if res, ok := results[0].Value.(*diag.Result); !ok || res.Cycles <= 0 || res.DiAG == nil {
 		t.Errorf("result 0: value = %#v, err = %v", results[0].Value, results[0].Err)
 	}
 	if !errors.Is(results[1].Err, diag.ErrBadProgram) {

@@ -9,7 +9,6 @@ import (
 	idiag "diag/internal/diag"
 	"diag/internal/diagerr"
 	"diag/internal/fault"
-	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/ooo"
@@ -90,7 +89,7 @@ type Result struct {
 	// Exactly one of the machine-specific views is set.
 	DiAG     *Stats         // DiAG targets
 	Baseline *BaselineStats // OoO targets
-	CPU      *iss.CPU       // ISS targets (architectural state, like Interpret)
+	CPU      *iss.CPU       // ISS targets (final architectural state)
 }
 
 // Snapshot is one machine's complete captured state: architectural
@@ -329,10 +328,7 @@ func (t *issTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
 		return nil, diagerr.Wrap(diagerr.ErrBadProgram, "diag: %v", err)
 	}
 	cpu := iss.New(m, entry)
-	// Single-hart boot convention (tp = hart id, gp = hart count),
-	// matching the timing machines so workloads partition identically.
-	cpu.X[isa.TP] = 0
-	cpu.X[isa.GP] = 1
+	cpu.Boot(0, 1) // one hart, like a single-ring or single-core machine
 	return t.drive(ctx, o, cpu)
 }
 
@@ -428,7 +424,7 @@ func snapshotKind(s *Snapshot) string {
 // ---- Target-based conveniences ----
 
 // TargetJob builds a sweep job that runs p on a fresh fork of t; the
-// result value is *Result. It generalizes SimJob to any target.
+// result value is *Result.
 func TargetJob(name string, t Target, p *Program, opts ...RunOption) SweepJob {
 	ft := t.fork()
 	return SweepJob{Name: name, Run: func(ctx context.Context) (any, error) {
@@ -438,34 +434,4 @@ func TargetJob(name string, t Target, p *Program, opts ...RunOption) SweepJob {
 		}
 		return res, nil
 	}}
-}
-
-// FaultCampaignOn runs a Monte Carlo fault-injection campaign of p on
-// t's machine — the Target-level form generalizing FaultCampaign. The
-// target must be a single-threaded timing machine; ISS targets error
-// (there is no hardware to perturb).
-func FaultCampaignOn(ctx context.Context, t Target, p *Program, opts ...FaultOption) (*FaultReport, error) {
-	c := &fault.Campaign{Image: p}
-	if err := t.campaign(c); err != nil {
-		return nil, err
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c.Run(ctx)
-}
-
-// FaultReplayOn re-runs one trial of a finished campaign on t's machine
-// with an observer attached — the Target-level form generalizing
-// FaultReplay. The campaign options must match the ones that produced
-// rep.
-func FaultReplayOn(ctx context.Context, t Target, p *Program, rep *FaultReport, trial int, obs Observer, opts ...FaultOption) (FaultTrial, error) {
-	c := &fault.Campaign{Image: p}
-	if err := t.campaign(c); err != nil {
-		return FaultTrial{}, err
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c.Replay(ctx, rep, trial, obs)
 }

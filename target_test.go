@@ -20,35 +20,40 @@ var stabilityWorkloads = []string{
 	"btree", "backprop", "lud", "mcf", "xz", "leela",
 }
 
-// buildWorkload assembles one named kernel at the smallest scale.
-func buildWorkload(t *testing.T, name string) *diag.Program {
+// stabilityParams is the smallest problem shape: one thread, scale 1.
+var stabilityParams = diag.WorkloadParams{Scale: 1, Threads: 1}
+
+// workload looks up one named kernel.
+func workload(t *testing.T, name string) diag.Workload {
 	t.Helper()
 	w, ok := diag.WorkloadByName(name)
 	if !ok {
 		t.Fatalf("unknown workload %q", name)
 	}
-	img, err := w.Build(diag.WorkloadParams{Scale: 1, Threads: 1})
+	return w
+}
+
+// buildWorkload assembles one named kernel at the smallest scale.
+func buildWorkload(t *testing.T, name string) *diag.Program {
+	t.Helper()
+	img, err := workload(t, name).Build(stabilityParams)
 	if err != nil {
 		t.Fatalf("build %s: %v", name, err)
 	}
 	return img
 }
 
-// checkStability is the core checkpoint/restore property: running a
-// program straight must be indistinguishable — statistics, memory
-// digest, and the complete observer event stream — from running half of
-// it, checkpointing, serializing the snapshot through the diag-snap/v1
-// codec, and resuming the decoded copy.
-func checkStability(t *testing.T, mkTarget func() diag.Target, img *diag.Program) {
+// checkStabilityAt is the core checkpoint/restore property: running w
+// straight must compute the workload's own right answer and be
+// indistinguishable — statistics, memory digest, and the complete
+// observer event stream — from running half of it, checkpointing,
+// serializing the snapshot through the diag-snap/v1 codec, and resuming
+// the decoded copy. delta shifts the pause point off the N/2 alignment;
+// the superblock-on column uses an odd delta so the pause lands inside
+// a decoded superblock.
+func checkStabilityAt(t *testing.T, mkTarget func() diag.Target, w diag.Workload, delta uint64) {
 	t.Helper()
-	checkStabilityAt(t, mkTarget, img, 0)
-}
-
-// checkStabilityAt is checkStability with the pause point shifted by
-// delta instructions off the N/2 alignment; the superblock-on column
-// uses an odd delta so the pause lands inside a decoded superblock.
-func checkStabilityAt(t *testing.T, mkTarget func() diag.Target, img *diag.Program, delta uint64) {
-	t.Helper()
+	img := buildWorkload(t, w.Name)
 
 	straightCol := diag.NewEventCollector(0)
 	straight, err := mkTarget().Run(img, diag.WithObserver(straightCol))
@@ -57,6 +62,11 @@ func checkStabilityAt(t *testing.T, mkTarget func() diag.Target, img *diag.Progr
 	}
 	if !straight.Done {
 		t.Fatal("straight run not done")
+	}
+	// A straight run that agrees with its split twin can still be wrong
+	// on both: a target that skips the hart boot convention does.
+	if err := w.Check(straight.Mem, stabilityParams); err != nil {
+		t.Fatalf("straight run: %v", err)
 	}
 
 	half := straight.Retired/2 + delta
@@ -144,7 +154,7 @@ func TestTargetStability(t *testing.T) {
 		for _, wl := range stabilityWorkloads {
 			t.Run(tc.name+"/"+wl, func(t *testing.T) {
 				t.Parallel()
-				checkStabilityAt(t, tc.mk, buildWorkload(t, wl), tc.delta)
+				checkStabilityAt(t, tc.mk, workload(t, wl), tc.delta)
 			})
 		}
 	}
@@ -264,7 +274,7 @@ func TestISSTargetErrors(t *testing.T) {
 	if _, err := diag.ISS().Run(img, diag.WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Errorf("ISS cancel error = %v, want context.Canceled", err)
 	}
-	if _, err := diag.FaultCampaignOn(context.Background(), diag.ISS(), img); err == nil {
+	if _, err := diag.FaultCampaign(context.Background(), diag.ISS(), img); err == nil {
 		t.Error("fault campaign on the ISS succeeded")
 	}
 }
