@@ -420,11 +420,12 @@ func (c *Campaign) Replay(ctx context.Context, rep *Report, trial int, obs obsv.
 	return Trial{Fault: f, Outcome: out, Injected: res.injected, Cycles: res.cycles, Err: msg}, nil
 }
 
-// forkPoint is a shared post-warmup checkpoint: the encoded snapshot
-// (each trial decodes its own private machine from it) and the fork
-// threshold.
+// forkPoint is a shared post-warmup checkpoint: the in-memory snapshot
+// (each trial restores its own private machine from it; restoring never
+// mutates or aliases the state, so one snapshot seeds every fork) and
+// the fork threshold.
 type forkPoint struct {
-	enc []byte
+	snap *snap.Snapshot
 	// threshold is the machine's clock at the pause. Warmup polled the
 	// injection hook only at cycles <= threshold, so a fault strictly
 	// past it fires at the identical step whether the trial ran from
@@ -459,18 +460,11 @@ type rig struct {
 	snapshot func() *snap.Snapshot
 }
 
-// build makes the campaign's machine from reset, or from the encoded
-// checkpoint enc when non-nil, under the given budgets (0 keeps the
+// build makes the campaign's machine from reset, or from the
+// checkpoint s when non-nil, under the given budgets (0 keeps the
 // configuration's own). The machine kind is the only per-kind step of
 // a campaign.
-func (c *Campaign) build(enc []byte, maxInst uint64, maxCycles int64) (*rig, error) {
-	var s *snap.Snapshot
-	if enc != nil {
-		var err error
-		if s, err = snap.Decode(enc); err != nil {
-			return nil, err
-		}
-	}
+func (c *Campaign) build(s *snap.Snapshot, maxInst uint64, maxCycles int64) (*rig, error) {
 	var rg *rig
 	if c.DiAG != nil {
 		var m *diag.Machine
@@ -514,7 +508,7 @@ func (c *Campaign) build(enc []byte, maxInst uint64, maxCycles int64) (*rig, err
 }
 
 // checkpoint runs the unfaulted machine (under the trial budgets) to
-// the warmup pause and encodes it. A nil forkPoint (no error) means the
+// the warmup pause and captures it. A nil forkPoint (no error) means the
 // program halted inside the warmup window — nothing to fork, every
 // trial runs from reset.
 func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int64) (*forkPoint, error) {
@@ -526,11 +520,7 @@ func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int
 	if err != nil || !paused {
 		return nil, err
 	}
-	enc, err := snap.Encode(rg.snapshot())
-	if err != nil {
-		return nil, err
-	}
-	return &forkPoint{enc: enc, threshold: rg.cycles()}, nil
+	return &forkPoint{snap: rg.snapshot(), threshold: rg.cycles()}, nil
 }
 
 // forkRunner builds a closure running one (possibly faulted)
@@ -539,12 +529,12 @@ func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int
 // run). A non-nil obs streams the run's cycle-level events (replay
 // debugging).
 func (c *Campaign) forkRunner(fork *forkPoint, faults []Fault, dataAddr, dataLen uint32, maxInst uint64, maxCycles int64, obs obsv.Observer) func(context.Context) runResult {
-	var enc []byte
+	var from *snap.Snapshot
 	if fork.eligible(faults) {
-		enc = fork.enc
+		from = fork.snap
 	}
 	return func(ctx context.Context) runResult {
-		rg, err := c.build(enc, maxInst, maxCycles)
+		rg, err := c.build(from, maxInst, maxCycles)
 		if err != nil {
 			return runResult{err: err}
 		}

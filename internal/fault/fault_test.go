@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,9 +14,11 @@ import (
 	"diag/internal/asm"
 	"diag/internal/diag"
 	"diag/internal/diagerr"
+	"diag/internal/exp"
 	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/ooo"
+	"diag/internal/snap"
 )
 
 const (
@@ -496,5 +500,60 @@ func TestWarmupForkActuallyForks(t *testing.T) {
 	outS, _ := classify(straight, golden)
 	if outF != outS {
 		t.Fatalf("forked classifies %v, straight %v", outF, outS)
+	}
+}
+
+// TestWarmupForkLeavesStateIntact runs every trial of a Workers: 4
+// campaign from one shared fork state and checks that the state still
+// encodes to the same bytes afterwards. Trials restore from the
+// in-memory snapshot without copying it first, so a restore that
+// aliased one of its slices would let a trial's execution write into
+// the checkpoint every other trial forks from.
+func TestWarmupForkLeavesStateIntact(t *testing.T) {
+	img := sumImage(t)
+	dcfg, ocfg := diag.F4C2(), ooo.Baseline()
+	for _, c := range []*Campaign{
+		{Image: img, DiAG: &dcfg, Seed: 42, Warmup: 100},
+		{Image: img, OoO: &ocfg, Seed: 42, Warmup: 100},
+	} {
+		name := c.machineName()
+		ctx := context.Background()
+		dataAddr, dataLen := c.dataRegion()
+		base := c.forkRunner(nil, nil, dataAddr, dataLen, 0, 0, nil)(ctx)
+		if base.err != nil {
+			t.Fatalf("%s: unfaulted run: %v", name, base.err)
+		}
+		maxInst, maxCycles := uint64(20_000), base.cycles*8+100_000
+		fp, err := c.checkpoint(ctx, maxInst, maxCycles)
+		if err != nil || fp == nil {
+			t.Fatalf("%s: checkpoint = %v, %v; want a fork point", name, fp, err)
+		}
+		before, err := snap.Encode(fp.snap)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+
+		rng := rand.New(rand.NewSource(7))
+		window := base.cycles - fp.threshold
+		jobs := make([]exp.Job, 24)
+		for i := range jobs {
+			f := Random(rng, DefaultSites(c.DiAG != nil), window)
+			f.Cycle += fp.threshold + 1
+			run := c.forkRunner(fp, []Fault{f}, dataAddr, dataLen, maxInst, maxCycles, nil)
+			jobs[i] = exp.Job{Name: fmt.Sprintf("trial-%d", i), Run: func(ctx context.Context) (any, error) {
+				return run(ctx), nil
+			}}
+		}
+		if _, err := exp.Run(ctx, jobs, exp.Options{Workers: 4}); err != nil {
+			t.Fatalf("%s: trials: %v", name, err)
+		}
+
+		after, err := snap.Encode(fp.snap)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", name, err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: fork state changed while trials ran from it (%d bytes before, %d after)", name, len(before), len(after))
+		}
 	}
 }
