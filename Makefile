@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzMemoryOps -fuzztime=$(FUZZTIME) ./internal/mem/
 	$(GO) test -run=NONE -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snap/
 
 # Differential conformance smoke: random programs across the full
 # architecture matrix (ISS / DiAG ring configs / OoO). Exit 1 on any

@@ -2,12 +2,34 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"diag/internal/diag"
+	"diag/internal/ooo"
 )
 
-// FuzzDecode asserts the decoder's two safety properties on arbitrary
-// input: it never panics, and anything it accepts re-encodes to exactly
-// the input (the format is canonical).
+// reseal returns a copy of b whose trailer is the digest of its body,
+// so a mutated snapshot reaches the parser instead of stopping at the
+// digest check.
+func reseal(b []byte) []byte {
+	c := append([]byte(nil), b...)
+	if len(c) < 8 {
+		return c
+	}
+	h := fnv1a(c[:len(c)-8])
+	for i := 0; i < 8; i++ {
+		c[len(c)-8+i] = byte(h >> (8 * i))
+	}
+	return c
+}
+
+// FuzzDecode asserts the decoder's safety properties on arbitrary
+// input: it never panics, every rejection wraps ErrFormat, and anything
+// it accepts re-encodes to exactly the input (the format is canonical).
+// Each input is decoded as given and again with a recomputed trailer:
+// almost every mutation breaks the digest, and only the resealed copy
+// exercises the length checks behind it.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Schema))
@@ -22,9 +44,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(bad)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	for _, s := range []*Snapshot{
+		{Kind: KindDiAG, DiAG: &diag.MachineState{}},
+		{Kind: KindOoO, OoO: &ooo.MachineState{}},
+	} {
+		if b, err := Encode(s); err == nil {
+			f.Add(b)
+		}
+	}
+	check := func(t *testing.T, b []byte) {
 		s, err := Decode(b)
 		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("rejection does not wrap ErrFormat: %v", err)
+			}
 			return
 		}
 		b2, err := Encode(s)
@@ -34,5 +67,9 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(b, b2) {
 			t.Fatalf("re-encode is not canonical: %d bytes in, %d out", len(b), len(b2))
 		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check(t, b)
+		check(t, reseal(b))
 	})
 }

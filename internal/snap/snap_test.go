@@ -232,18 +232,18 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSaveLoad exercises the io.Writer/io.Reader forms.
-func TestSaveLoad(t *testing.T) {
+// TestLoad exercises the io.Reader form.
+func TestLoad(t *testing.T) {
 	s := issSnapshot(t, "pathfinder", 100)
-	var buf bytes.Buffer
-	if err := Save(&buf, s); err != nil {
+	b, err := Encode(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := Load(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, got) {
-		t.Error("loaded snapshot differs from saved")
+		t.Error("loaded snapshot differs from encoded")
 	}
 }
