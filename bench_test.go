@@ -10,6 +10,7 @@ package diag_test
 // measured comparison appears directly in benchmark output.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,12 +27,15 @@ func reportMeans(b *testing.B, fig *diag.Figure) {
 	}
 }
 
-func benchFigure(b *testing.B, f func(int) (*diag.Figure, error)) {
+// benchFigure regenerates one figure per iteration on a one-worker
+// FigureRunner.
+func benchFigure(b *testing.B, f func(*diag.FigureRunner, int) (*diag.Figure, error)) {
 	b.Helper()
+	r := diag.NewFigureRunner(context.Background(), diag.FigureOptions{Workers: 1})
 	var fig *diag.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = f(1)
+		fig, err = f(r, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,32 +45,32 @@ func benchFigure(b *testing.B, f func(int) (*diag.Figure, error)) {
 
 // BenchmarkFig9aRodiniaSingleThread regenerates Figure 9a (paper means:
 // 0.91x / 1.12x / 1.12x for 32/256/512 PEs).
-func BenchmarkFig9aRodiniaSingleThread(b *testing.B) { benchFigure(b, diag.Fig9a) }
+func BenchmarkFig9aRodiniaSingleThread(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig9a) }
 
 // BenchmarkFig9bRodiniaMultiThread regenerates Figure 9b (paper means:
 // 0.95x plain, 1.2x with SIMT pipelining).
-func BenchmarkFig9bRodiniaMultiThread(b *testing.B) { benchFigure(b, diag.Fig9b) }
+func BenchmarkFig9bRodiniaMultiThread(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig9b) }
 
 // BenchmarkFig10aSPECSingleThread regenerates Figure 10a (paper means:
 // 0.81x / 0.97x / 0.97x).
-func BenchmarkFig10aSPECSingleThread(b *testing.B) { benchFigure(b, diag.Fig10a) }
+func BenchmarkFig10aSPECSingleThread(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig10a) }
 
 // BenchmarkFig10bSPECMultiThread regenerates Figure 10b (paper means:
 // 0.97x plain, 1.15x with SIMT).
-func BenchmarkFig10bSPECMultiThread(b *testing.B) { benchFigure(b, diag.Fig10b) }
+func BenchmarkFig10bSPECMultiThread(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig10b) }
 
 // BenchmarkFig11EnergyBreakdown regenerates Figure 11 (energy shares by
 // component; paper: compute-heavy spend ~half on functional units,
 // graph traversal dominated by memory).
-func BenchmarkFig11EnergyBreakdown(b *testing.B) { benchFigure(b, diag.Fig11) }
+func BenchmarkFig11EnergyBreakdown(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig11) }
 
 // BenchmarkFig12EnergyEfficiency regenerates Figure 12 (paper means:
 // 1.51x single, 1.35x multi, 1.63x with SIMT).
-func BenchmarkFig12EnergyEfficiency(b *testing.B) { benchFigure(b, diag.Fig12) }
+func BenchmarkFig12EnergyEfficiency(b *testing.B) { benchFigure(b, (*diag.FigureRunner).Fig12) }
 
 // BenchmarkStallBreakdown regenerates the §7.3.2 statistic (paper:
 // 73.6% memory / 21.1% control / 5.3% other).
-func BenchmarkStallBreakdown(b *testing.B) { benchFigure(b, diag.StallBreakdown) }
+func BenchmarkStallBreakdown(b *testing.B) { benchFigure(b, (*diag.FigureRunner).StallBreakdown) }
 
 // BenchmarkTable1Comparison renders Table 1.
 func BenchmarkTable1Comparison(b *testing.B) {

@@ -38,14 +38,12 @@
 //	speedup := float64(base.Cycles) / float64(res.Cycles)
 //	ref, err := diag.ISS().Run(img)
 //
-// To regenerate a paper figure (serially, or in parallel with a
-// FigureRunner):
-//
-//	fig, err := diag.Fig9a(1)
-//	fmt.Println(fig.Table())
+// To regenerate a paper figure, use a FigureRunner; its output is
+// byte-identical at any worker count:
 //
 //	runner := diag.NewFigureRunner(ctx, diag.FigureOptions{Workers: 8})
-//	fig, err = runner.Fig9a(1) // byte-identical, ~Workers× faster
+//	fig, err := runner.Fig9a(1)
+//	fmt.Println(fig.Table())
 //
 // Independent simulations fan out across a worker pool with Sweep:
 //
@@ -181,16 +179,9 @@ func WorkloadByName(name string) (Workload, bool) { return workloads.ByName(name
 // Figure is one regenerated evaluation artifact.
 type Figure = bench.Figure
 
-// Figure and table generators; scale sets the problem-size knob.
+// Table generators. Figures are regenerated through a FigureRunner.
 var (
-	Fig9a          = bench.Fig9a
-	Fig9b          = bench.Fig9b
-	Fig10a         = bench.Fig10a
-	Fig10b         = bench.Fig10b
-	Fig11          = bench.Fig11
-	Fig12          = bench.Fig12
-	StallBreakdown = bench.StallBreakdown
-	Table1         = bench.Table1
-	Table2         = bench.Table2
-	Table3         = bench.Table3
+	Table1 = bench.Table1
+	Table2 = bench.Table2
+	Table3 = bench.Table3
 )

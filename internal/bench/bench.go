@@ -105,7 +105,7 @@ func (f *Figure) computeMeans() {
 // figure.
 type Options struct {
 	// Workers is the number of simulations in flight; <= 0 or 1 runs
-	// serially (the package-level generators' behavior).
+	// serially.
 	Workers int
 	// Timeout bounds each simulation's wall-clock time (0 = none). An
 	// expired simulation fails its figure with diagerr.ErrTimeout.
@@ -173,9 +173,6 @@ func NewRunner(ctx context.Context, opt Options) *Runner {
 	}
 	return &Runner{ctx: ctx, opt: opt}
 }
-
-// serialRunner backs the package-level generators.
-func serialRunner() *Runner { return NewRunner(context.Background(), Options{Workers: 1}) }
 
 // run submits one figure's jobs to the engine (label names its journal
 // sweep) and applies the figure generators' all-or-nothing error policy:
@@ -577,35 +574,6 @@ func (r *Runner) ScalingSweep(name string, clusterCounts []int, scale int) (*Fig
 	}
 	fig.computeMeans()
 	return fig, nil
-}
-
-// ---- serial package-level generators (legacy surface) ----
-
-// Fig9a regenerates Figure 9a serially; use a Runner for parallel,
-// cancellable regeneration.
-func Fig9a(scale int) (*Figure, error) { return serialRunner().Fig9a(scale) }
-
-// Fig9b regenerates Figure 9b serially.
-func Fig9b(scale int) (*Figure, error) { return serialRunner().Fig9b(scale) }
-
-// Fig10a regenerates Figure 10a serially.
-func Fig10a(scale int) (*Figure, error) { return serialRunner().Fig10a(scale) }
-
-// Fig10b regenerates Figure 10b serially.
-func Fig10b(scale int) (*Figure, error) { return serialRunner().Fig10b(scale) }
-
-// Fig11 regenerates Figure 11 serially.
-func Fig11(scale int) (*Figure, error) { return serialRunner().Fig11(scale) }
-
-// Fig12 regenerates Figure 12 serially.
-func Fig12(scale int) (*Figure, error) { return serialRunner().Fig12(scale) }
-
-// StallBreakdown regenerates the §7.3.2 breakdown serially.
-func StallBreakdown(scale int) (*Figure, error) { return serialRunner().StallBreakdown(scale) }
-
-// ScalingSweep measures PE scaling serially.
-func ScalingSweep(name string, clusterCounts []int, scale int) (*Figure, error) {
-	return serialRunner().ScalingSweep(name, clusterCounts, scale)
 }
 
 // ---- tables ----

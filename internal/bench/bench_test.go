@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,8 +14,11 @@ import (
 // wins, where curves saturate, which component dominates — rather than
 // absolute values, per the reproduction brief.
 
+// serial returns a one-worker Runner, the reference regeneration.
+func serial() *Runner { return NewRunner(context.Background(), Options{Workers: 1}) }
+
 func TestFig9aShape(t *testing.T) {
-	fig, err := Fig9a(1)
+	fig, err := serial().Fig9a(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig9bShape(t *testing.T) {
-	fig, err := Fig9b(1)
+	fig, err := serial().Fig9b(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestFig9bShape(t *testing.T) {
 }
 
 func TestFig10aShape(t *testing.T) {
-	fig, err := Fig10a(1)
+	fig, err := serial().Fig10a(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestFig10aShape(t *testing.T) {
 }
 
 func TestFig10bShape(t *testing.T) {
-	fig, err := Fig10b(1)
+	fig, err := serial().Fig10b(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,7 @@ func TestFig10bShape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	fig, err := Fig11(1)
+	fig, err := serial().Fig11(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	fig, err := Fig12(1)
+	fig, err := serial().Fig12(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestStallBreakdownShape(t *testing.T) {
-	fig, err := StallBreakdown(1)
+	fig, err := serial().StallBreakdown(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestScalingSweepSaturates(t *testing.T) {
-	fig, err := ScalingSweep("srad", []int{2, 16, 32}, 1)
+	fig, err := serial().ScalingSweep("srad", []int{2, 16, 32}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +277,7 @@ func TestScalingSweepSaturates(t *testing.T) {
 	if math.Abs(big-mid)/mid > 0.05 {
 		t.Errorf("scaling should saturate: 32 clusters %.2f vs 16 %.2f", big, mid)
 	}
-	if _, err := ScalingSweep("nope", []int{2}, 1); err == nil {
+	if _, err := serial().ScalingSweep("nope", []int{2}, 1); err == nil {
 		t.Error("unknown workload should error")
 	}
 }
@@ -290,11 +294,11 @@ func TestDescribeListsAll(t *testing.T) {
 // TestScaleStability: doubling the problem size must not flip the
 // qualitative result — the Fig 9a geomeans stay in the same band.
 func TestScaleStability(t *testing.T) {
-	f1, err := Fig9a(1)
+	f1, err := serial().Fig9a(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Fig9a(2)
+	f2, err := serial().Fig9a(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ import (
 )
 
 // TestParallelMatchesSerial: a figure regenerated on 4 workers must be
-// byte-identical to the serial regeneration — the engine's ordered
+// byte-identical to the one-worker regeneration — the engine's ordered
 // results make parallelism invisible in the output. Run under -race
 // this also exercises the machine models for data races across
 // concurrent simulations.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial, err := Fig9a(1)
+	serial, err := NewRunner(context.Background(), Options{Workers: 1}).Fig9a(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,8 +191,8 @@ type FigureRunner = bench.Runner
 
 // NewFigureRunner returns a runner whose Fig9a…Fig12, StallBreakdown,
 // and ScalingSweep methods regenerate figures with parallel,
-// cancellable simulations; results are byte-identical to the serial
-// package-level generators.
+// cancellable simulations; results are byte-identical at any worker
+// count.
 func NewFigureRunner(ctx context.Context, opt FigureOptions) *FigureRunner {
 	return bench.NewRunner(ctx, opt)
 }
