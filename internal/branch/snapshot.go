@@ -6,6 +6,7 @@ import "fmt"
 // both component tables, the chooser, and the gshare global history.
 // Table sizes are fixed by the predictor's construction parameters and
 // validated on restore.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type TournamentState struct {
 	Bimodal []uint8
 	GShare  []uint8
@@ -56,6 +57,7 @@ func (t *Tournament) SetState(st *TournamentState) error {
 }
 
 // BTBState is a serializable copy of a BTB.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type BTBState struct {
 	Tags    []uint32
 	Targets []uint32
@@ -84,6 +86,7 @@ func (b *BTB) SetState(st *BTBState) error {
 }
 
 // RASState is a serializable copy of a return-address stack.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type RASState struct {
 	Stack []uint32
 	Top   int

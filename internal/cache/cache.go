@@ -20,6 +20,7 @@ type Port interface {
 }
 
 // Stats counts cache events.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64

@@ -7,6 +7,7 @@ import "fmt"
 // occupancy, the LRU tick, and the statistics counters. Geometry is not
 // part of the state — restore targets are built from the same static
 // Config and SetState validates the lengths against it.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type State struct {
 	Ways      []WayState // len = sets * assoc, set-major
 	BusyUntil []int64    // per bank
@@ -16,6 +17,7 @@ type State struct {
 }
 
 // WayState is one cache way.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type WayState struct {
 	Tag     uint32
 	Valid   bool

@@ -50,6 +50,7 @@ func (l ISALevel) String() string {
 
 // Config parameterizes one DiAG processor (paper Table 2 plus the timing
 // constants of §5–§6).
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type Config struct {
 	Name string
 	ISA  ISALevel

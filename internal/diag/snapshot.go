@@ -20,6 +20,7 @@ import (
 // iss.CPUState).
 
 // ClusterState is one processing cluster's load state.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type ClusterState struct {
 	Base    uint32
 	Loaded  bool
@@ -29,6 +30,7 @@ type ClusterState struct {
 }
 
 // OperandState is one register lane's producer record.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type OperandState struct {
 	Ready  int64
 	Pos    int
@@ -36,6 +38,7 @@ type OperandState struct {
 }
 
 // StrideEntryState is one PE's stride-prefetch training state.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type StrideEntryState struct {
 	LastAddr uint32
 	Stride   int32
@@ -44,12 +47,14 @@ type StrideEntryState struct {
 }
 
 // SpecTargetState is one speculative-datapath table entry.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type SpecTargetState struct {
 	Tag  uint32
 	Line uint32
 }
 
 // RingState is a serializable copy of one ring's complete state.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type RingState struct {
 	CPU      iss.CPUState
 	Watchdog iss.WatchdogState

@@ -26,6 +26,7 @@ func (k StallKind) String() string {
 }
 
 // Stats aggregates one ring's (or one machine's) execution counters.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type Stats struct {
 	Cycles  int64
 	Retired uint64

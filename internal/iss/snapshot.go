@@ -19,6 +19,7 @@ import (
 // touch). The abnormal-halt error is carried as
 // its message: every abnormal halt is an ErrBadProgram, so the error
 // chain is reconstructed exactly.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type CPUState struct {
 	PC      uint32
 	X       [isa.NumRegs]uint32
@@ -78,6 +79,7 @@ func (c *CPU) SetState(st *CPUState) {
 // WatchdogState is a serializable copy of a Watchdog's recent-state
 // ring. The full fixed-depth ring is carried so a restored watchdog
 // flags exactly the same recurrences the original would have.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type WatchdogState struct {
 	Recent [watchdogDepth]uint64
 	N      int

@@ -9,6 +9,7 @@ import "sort"
 // the snapshot codec's byte-identical round-trip relies on. Dropping
 // zero pages is invisible to Digest, which hashes all-zero pages like
 // never-touched ones.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type State struct {
 	CodeLo, CodeHi uint32
 	CodeGen        uint64
@@ -16,6 +17,7 @@ type State struct {
 }
 
 // PageState is one non-zero page of a memory State.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type PageState struct {
 	Index uint32 // page number: the base address is Index * PageSize
 	Data  [PageSize]byte

@@ -377,6 +377,7 @@ func (m *Machine[C, S, U]) DRAMAccesses() uint64 {
 // State is a serializable copy of a complete machine: configuration,
 // memory, every unit, the L2 partitions, the DRAM access total, and
 // the next-unit cursor.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type State[C, S any] struct {
 	Config       C
 	Mem          mem.State

@@ -18,6 +18,7 @@ import "fmt"
 // Config parameterizes the baseline core and multicore (§7.1: "issue,
 // dispatch, and retire up to 8 instructions with a 2 cycle latency for
 // each of these stages", 64KB L1s, 4–8MB unified L2, 12 cores).
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type Config struct {
 	Name  string
 	Cores int

@@ -14,6 +14,7 @@ import (
 )
 
 // Stats aggregates one core's (or one machine's) execution counters.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type Stats struct {
 	Cycles  int64
 	Retired uint64

@@ -18,6 +18,7 @@ import (
 // are validated on restore.
 
 // StoreEntryState is one in-flight store of the forwarding window.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type StoreEntryState struct {
 	Addr  uint32
 	Size  uint32
@@ -25,6 +26,7 @@ type StoreEntryState struct {
 }
 
 // CoreState is a serializable copy of one core's complete state.
+// Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type CoreState struct {
 	CPU      iss.CPUState
 	Watchdog iss.WatchdogState
