@@ -33,7 +33,9 @@ check:
 	$(GO) test -race ./...
 
 # Short fuzz runs for CI: each native fuzz target gets a brief budget
-# (go test runs one -fuzz target per invocation).
+# (go test runs one -fuzz target per invocation). FuzzStoreForward
+# executions take about a millisecond, so its minimization of a new
+# input is capped to leave most of the budget to fuzzing.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/isa/
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzSubmitRequest -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snap/
+	$(GO) test -run=NONE -fuzz=FuzzStoreForward -fuzztime=$(FUZZTIME) -fuzzminimizetime=3s ./internal/ooo/
 
 # Differential conformance smoke: random programs across the full
 # architecture matrix (ISS / DiAG ring configs / OoO). Exit 1 on any

@@ -125,6 +125,14 @@ type lsqEntry struct {
 	ready int64 // when the store's data is available for forwarding
 }
 
+// lastStore is one slot of the store index: the newest store whose word
+// maps to the slot. seq is that store's 1-based number in the core's
+// lifetime store count; 0 marks a slot no store has written.
+type lastStore struct {
+	word uint32
+	seq  uint64
+}
+
 // Core is one out-of-order core's timing scoreboard.
 type Core struct {
 	cfg Config
@@ -159,6 +167,15 @@ type Core struct {
 	storeWindow []lsqEntry // fixed ring of the last LSQSize stores
 	storeHead   int        // next write slot
 	storeLen    int        // valid entries, ≤ LSQSize
+
+	// storeIndex maps a word (addr>>2 & indexMask) to the newest store
+	// that wrote any word in its slot, so forward finds the youngest
+	// matching store without scanning the window. It is derived from the
+	// window (SetState rebuilds it) and never serialized. storeSeq counts
+	// pushed stores; 64 bits so it cannot wrap.
+	storeIndex []lastStore
+	indexMask  uint32
+	storeSeq   uint64
 
 	fetchCycle  int64 // cycle the next fetch group begins
 	fetchInGrp  int   // instructions fetched in the current group
@@ -199,6 +216,14 @@ func newCore(cfg Config, m *mem.Memory, entry uint32, shared cache.Port) *Core {
 		lsqTimes:    make([]int64, cfg.LSQSize),
 		storeWindow: make([]lsqEntry, cfg.LSQSize),
 	}
+	// Two or more slots per window entry keep collisions, and so the
+	// scan fallback, rare.
+	n := 1
+	for n < 2*cfg.LSQSize {
+		n <<= 1
+	}
+	c.storeIndex = make([]lastStore, n)
+	c.indexMask = uint32(n - 1)
 	c.icache = cache.New(cache.Config{
 		Name: "L1I", Size: cfg.L1ISize, LineSize: 64, Assoc: 4, Latency: 1,
 	}, shared)
@@ -443,12 +468,12 @@ func (c *Core) RunUntil(ctx context.Context, limit uint64) (paused bool, err err
 			c.l1d.Access(retire, ex.MemAddr, true)
 		}
 		c.retireAt[c.retireHead] = retire
-		c.retireHead = (c.retireHead + 1) % cfg.ROBSize
+		c.retireHead = next(c.retireHead, len(c.retireAt))
 		c.issueTimes[c.issueHead] = start
-		c.issueHead = (c.issueHead + 1) % cfg.IQSize
+		c.issueHead = next(c.issueHead, len(c.issueTimes))
 		if in.Op.IsMem() {
 			c.lsqTimes[c.lsqHead] = retire
-			c.lsqHead = (c.lsqHead + 1) % cfg.LSQSize
+			c.lsqHead = next(c.lsqHead, len(c.lsqTimes))
 		}
 		if retire > c.now {
 			c.now = retire
@@ -581,27 +606,90 @@ func (c *Core) fetchBubble(t int64) {
 	}
 }
 
+// next advances ring index i of a ring of n slots by compare-and-reset,
+// keeping the divide of a % off the per-instruction path.
+func next(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
 // pushStore records an in-flight store for forwarding. The window is a
 // fixed ring sized LSQSize: the newest store overwrites the oldest, so
-// steady-state execution never reslices or reallocates.
+// steady-state execution never reslices or reallocates. The store also
+// becomes the newest entry of its index slot.
 func (c *Core) pushStore(addr uint32, ready int64) {
-	c.storeWindow[c.storeHead] = lsqEntry{addr: addr &^ 3, size: 4, ready: ready}
-	c.storeHead = (c.storeHead + 1) % len(c.storeWindow)
+	a := addr &^ 3
+	c.storeWindow[c.storeHead] = lsqEntry{addr: a, size: 4, ready: ready}
+	c.storeHead = next(c.storeHead, len(c.storeWindow))
 	if c.storeLen < len(c.storeWindow) {
 		c.storeLen++
 	}
+	c.indexStore(a)
 }
 
-// forward searches the LSQ for a completed store to the same word,
-// newest first (the youngest matching store forwards, as in hardware).
+// indexStore numbers the newest store, to word a, and makes it the
+// entry of a's index slot.
+func (c *Core) indexStore(a uint32) {
+	c.storeSeq++
+	c.storeIndex[(a>>2)&c.indexMask] = lastStore{word: a, seq: c.storeSeq}
+}
+
+// forward finds the youngest in-flight store to addr's word (as in
+// hardware, the newest matching store forwards) and returns when its
+// data is ready. The index answers exactly what a newest-first scan of
+// the window would: its slot holds the newest store to any word mapping
+// there, and that store is in the window iff it is one of the last
+// storeLen stores. A slot outside the window means no windowed store
+// maps there, so the load misses; a windowed slot for the same word is
+// the newest store to that word. Only a windowed slot for another word
+// (a collision) hides older candidates and falls back to the scan.
 func (c *Core) forward(addr uint32) (int64, bool) {
 	a := addr &^ 3
-	n := len(c.storeWindow)
-	for k := 1; k <= c.storeLen; k++ {
-		e := &c.storeWindow[(c.storeHead-k+n)%n]
-		if e.addr == a {
-			return e.ready, true
+	e := c.storeIndex[(a>>2)&c.indexMask]
+	age := c.storeSeq - e.seq // 0 = the newest store
+	if age >= uint64(c.storeLen) {
+		return 0, false
+	}
+	if e.word != a {
+		return c.scanStores(a)
+	}
+	i := c.storeHead - 1 - int(age)
+	if i < 0 {
+		i += len(c.storeWindow)
+	}
+	return c.storeWindow[i].ready, true
+}
+
+// scanStores searches the window newest first for a store to word a.
+func (c *Core) scanStores(a uint32) (int64, bool) {
+	i := c.storeHead
+	for k := 0; k < c.storeLen; k++ {
+		if i == 0 {
+			i = len(c.storeWindow)
+		}
+		i--
+		if c.storeWindow[i].addr == a {
+			return c.storeWindow[i].ready, true
 		}
 	}
 	return 0, false
+}
+
+// rebuildStoreIndex derives the index from the window by replaying its
+// stores oldest to newest, as pushStore saw them. Numbering restarts at
+// 1, so storeSeq ends at storeLen and a slot no store wrote (seq 0,
+// which reads as word 0) stays outside the window.
+func (c *Core) rebuildStoreIndex() {
+	clear(c.storeIndex)
+	c.storeSeq = 0
+	i := c.storeHead - c.storeLen
+	if i < 0 {
+		i += len(c.storeWindow)
+	}
+	for k := 0; k < c.storeLen; k++ {
+		c.indexStore(c.storeWindow[i].addr)
+		i = next(i, len(c.storeWindow))
+	}
 }

@@ -174,6 +174,7 @@ func (c *Core) SetState(st *CoreState) error {
 	}
 	c.storeHead = st.StoreHead
 	c.storeLen = st.StoreLen
+	c.rebuildStoreIndex()
 	c.fetchCycle = st.FetchCycle
 	c.fetchInGrp = st.FetchInGrp
 	c.prevRetire = st.PrevRetire
