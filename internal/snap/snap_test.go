@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"diag/internal/asm"
 	"diag/internal/diag"
 	"diag/internal/iss"
 	"diag/internal/mem"
@@ -143,6 +144,92 @@ func TestRestoredDiAGMachineFinishesIdentically(t *testing.T) {
 	}
 	if got, want := restored.Mem().Digest(), straight.Mem().Digest(); got != want {
 		t.Errorf("restored memory digest %#x, want %#x", got, want)
+	}
+}
+
+// forwardingLoop stores to eight words that share one slot of the
+// baseline core's 256-entry store index (1 KiB apart) and loads both the
+// word just stored (forwarded) and the previous iteration's word (found
+// behind a colliding, newer store in the same slot). It also loads word
+// 0, never stored: an index slot no store has written reads as word 0,
+// which only a correctly rebuilt index keeps out of the window.
+const forwardingLoop = `
+	li   t0, 0x4000
+	li   t1, 0
+	li   t2, 3000
+	li   t3, 7
+loop:
+	andi t5, t1, 7
+	slli t5, t5, 10
+	add  t5, t5, t0
+	sw   t3, 0(t5)
+	sw   t1, 4(t5)
+	lw   t4, 0(t5)
+	lw   t6, -1024(t5)
+	lw   s1, 0(zero)
+	add  t3, t4, t3
+	add  t3, t3, t6
+	addi t1, t1, 1
+	blt  t1, t2, loop
+	ebreak
+`
+
+// TestRestoredOoOMachineForwardsIdentically pauses a store-forwarding
+// loop with a full store window at several points, sends each pause
+// through the binary format, and finishes the run: the restored core
+// must rebuild its store index from the window and forward exactly as
+// an uninterrupted run does.
+func TestRestoredOoOMachineForwardsIdentically(t *testing.T) {
+	img, err := asm.Assemble(forwardingLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, err := ooo.NewMachine(ooo.Baseline(), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := straight.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := straight.Stats()
+	if want.StoreForwards < 3000 {
+		t.Fatalf("straight run forwarded %d loads, want heavy forwarding", want.StoreForwards)
+	}
+	for _, limit := range []uint64{1001, 7919, 20002, 33333} {
+		mach, err := ooo.NewMachine(ooo.Baseline(), img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mach.RunUntil(context.Background(), limit); err != nil {
+			t.Fatal(err)
+		}
+		st := mach.State()
+		if c := st.Units[0]; c.StoreLen != len(c.StoreWindow) || c.Stats.StoreForwards == 0 {
+			t.Fatalf("pause at %d: store window %d/%d, %d forwards; want a full, forwarding window",
+				limit, c.StoreLen, len(c.StoreWindow), c.Stats.StoreForwards)
+		}
+		b, err := Encode(&Snapshot{Kind: KindOoO, OoO: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ooo.NewMachineFromState(s.OoO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("pause at %d: restored stats differ (forwards %d, cycles %d; want %d, %d)",
+				limit, got.StoreForwards, got.Cycles, want.StoreForwards, want.Cycles)
+		}
+		if got, want := restored.Mem().Digest(), straight.Mem().Digest(); got != want {
+			t.Errorf("pause at %d: restored memory digest %#x, want %#x", limit, got, want)
+		}
 	}
 }
 
