@@ -93,6 +93,62 @@ func (w *writer) elems(v reflect.Value) {
 	}
 }
 
+// size is the exact length of v's encoding, so that Encode allocates its
+// buffer once. A kind put rejects counts 0; put reports the error.
+func size(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.String:
+		return 4 + v.Len()
+	case reflect.Slice:
+		return 4 + elemsSize(v)
+	case reflect.Array:
+		return elemsSize(v)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return size(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += size(v.Field(i))
+		}
+		return n
+	}
+	return minSize(v.Type())
+}
+
+// elemsSize is the encoded length of a slice's or array's elements:
+// one multiplication when every element encodes to the same size.
+func elemsSize(v reflect.Value) int {
+	if t := v.Type().Elem(); fixedSize(t) {
+		return v.Len() * minSize(t)
+	}
+	n := 0
+	for i := 0; i < v.Len(); i++ {
+		n += size(v.Index(i))
+	}
+	return n
+}
+
+// fixedSize reports that every value of type t encodes to minSize(t)
+// bytes: t holds no string or slice.
+func fixedSize(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Slice:
+		return false
+	case reflect.Array, reflect.Pointer:
+		return fixedSize(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !fixedSize(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // reader consumes fixed-order little-endian fields with a sticky error:
 // after the first failure every read returns zero values and the
 // decoder unwinds without touching out-of-bounds memory.

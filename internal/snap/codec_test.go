@@ -65,6 +65,9 @@ func TestRoundTripEveryField(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", s.Kind, err)
 		}
+		if cap(b) != len(b) {
+			t.Errorf("%s: size pass gave %d bytes, encoding has %d", s.Kind, cap(b), len(b))
+		}
 		got, err := Decode(b)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", s.Kind, err)
@@ -156,6 +159,43 @@ func TestDecodeCorruptLengths(t *testing.T) {
 						name, n, p.off, alloc, len(b), limit)
 				}
 			}
+		}
+	}
+}
+
+// TestEncodeAllocatesOnce pins Encode to one buffer sized by the size
+// pass: on each golden snapshot it makes at most a handful of
+// allocations, allocates within 1.1x the output length, and fills the
+// buffer exactly.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, name := range []string{"iss.snap", "diag.snap", "ooo.snap"} {
+		good, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(good)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := Encode(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(b) != len(b) {
+			t.Errorf("%s: size pass gave %d bytes, encoding has %d", name, cap(b), len(b))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Encode(s) }); allocs > 3 {
+			t.Errorf("%s: Encode makes %.0f allocations, want at most 3", name, allocs)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Encode(s)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; float64(per) > 1.1*float64(len(good)) {
+			t.Errorf("%s: Encode allocates %d bytes for %d bytes of output", name, per, len(good))
 		}
 	}
 }

@@ -109,8 +109,9 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// Encode serializes s. It fails when s.Kind is unknown or the payload
-// field does not match the kind.
+// Encode serializes s into one buffer, sized exactly by a first pass
+// over the state. It fails when s.Kind is unknown or the payload field
+// does not match the kind.
 func Encode(s *Snapshot) ([]byte, error) {
 	var payload any
 	switch s.Kind {
@@ -132,10 +133,11 @@ func Encode(s *Snapshot) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("snap: unknown snapshot kind %d", s.Kind)
 	}
-	w := &writer{b: make([]byte, 0, 4096)}
+	v := reflect.ValueOf(payload)
+	w := &writer{b: make([]byte, 0, len(Schema)+1+size(v)+8)}
 	w.b = append(w.b, Schema...)
 	w.u8(uint8(s.Kind))
-	w.put(reflect.ValueOf(payload))
+	w.put(v)
 	if w.err != nil {
 		return nil, w.err
 	}
