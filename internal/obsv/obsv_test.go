@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -190,5 +191,193 @@ func TestChromeTraceValidateRejects(t *testing.T) {
 		if err := doc.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid document", c.name)
 		}
+	}
+}
+
+// registryScript drives a Registry through a fixed stream holding every
+// event kind, interleaved with user Inc/SetGauge/Observe calls on the
+// names the stream derives, and takes a Snapshot midway. It returns the
+// registry and the mid-stream snapshot.
+func registryScript() (*Registry, *Snapshot) {
+	r := NewRegistry(16)
+	emit := func(cycle int64, k Kind, val int64) {
+		r.Emit(Event{Cycle: cycle, Kind: k, Val: val})
+	}
+	r.Inc("ev/retire", 10) // a user counter the stream will share
+	emit(1, KindLSQOccupancy, 3)
+	emit(2, KindCommit, 6)
+	r.Observe("retire/latency", 40) // user hist before any retire event
+	r.SetGauge("cluster-occupancy", 7)
+	r.SetGauge("user/gauge", -2)
+	for k := Kind(0); k < NumKinds; k++ {
+		emit(int64(3+k), k, int64(k)+1)
+	}
+	emit(10, KindClusterOccupancy, 5) // inside the window: gauge only
+	r.Inc("ev/retire", 10)
+	r.Observe("user/hist", 9)
+	snap := r.Snapshot()
+	emit(40, KindRetire, 2)
+	emit(41, KindROBOccupancy, 30)
+	r.SetGauge("cluster-occupancy", 99)
+	emit(42, KindClusterOccupancy, 8) // new sample: 42-19 >= 16
+	emit(43, KindCommit, 0)
+	emit(30, KindLSQOccupancy, 1) // inside the window: gauge only
+	r.Inc("ev/fetch", 1)
+	return r, snap
+}
+
+// hist returns an IntervalHist holding vs.
+func hist(vs ...int64) IntervalHist {
+	var h IntervalHist
+	for _, v := range vs {
+		h.Observe(v)
+	}
+	return h
+}
+
+// TestRegistryOutputsPinned fixes every output of a Registry fed by
+// registryScript: counters shared by the event stream and Inc, the
+// first-use order of gauges and histograms that Summary prints, the
+// downsampled timeseries, and a mid-stream Snapshot that later events
+// do not reach.
+func TestRegistryOutputsPinned(t *testing.T) {
+	r, snap := registryScript()
+
+	counters := func(retire, clusterOcc, commit, lsqOcc, robOcc, fetch uint64) map[string]uint64 {
+		m := map[string]uint64{}
+		for k := Kind(0); k < NumKinds; k++ {
+			m["ev/"+k.String()] = 1
+		}
+		m["ev/retire"] = retire
+		m["ev/cluster-occupancy"] = clusterOcc
+		m["ev/commit"] = commit
+		m["ev/lsq-occupancy"] = lsqOcc
+		m["ev/rob-occupancy"] = robOcc
+		m["ev/fetch"] = fetch
+		return m
+	}
+	mid := []Sample{
+		{1, "lsq-occupancy", 3},
+		{19, "cluster-occupancy", 17},
+		{20, "rob-occupancy", 18},
+		{21, "iq-occupancy", 19},
+		{22, "lsq-occupancy", 20},
+	}
+	wantSnap := &Snapshot{
+		Counters: counters(21, 2, 2, 2, 1, 1),
+		Gauges: map[string]int64{
+			"lsq-occupancy": 20, "cluster-occupancy": 5, "user/gauge": -2,
+			"rob-occupancy": 18, "iq-occupancy": 19,
+		},
+		Hists: map[string]IntervalHist{
+			"commit/latency": hist(6, 14),
+			"retire/latency": hist(40, 8),
+			"user/hist":      hist(9),
+		},
+		Series: mid,
+	}
+	if !reflect.DeepEqual(snap, wantSnap) {
+		t.Errorf("mid-stream snapshot:\n got %+v\nwant %+v", snap, wantSnap)
+	}
+
+	wantEnd := &Snapshot{
+		Counters: counters(22, 3, 3, 3, 2, 2),
+		Gauges: map[string]int64{
+			"lsq-occupancy": 1, "cluster-occupancy": 8, "user/gauge": -2,
+			"rob-occupancy": 30, "iq-occupancy": 19,
+		},
+		Hists: map[string]IntervalHist{
+			"commit/latency": hist(6, 14, 0),
+			"retire/latency": hist(40, 8, 2),
+			"user/hist":      hist(9),
+		},
+		Series: append(append([]Sample(nil), mid...),
+			Sample{41, "rob-occupancy", 30},
+			Sample{42, "cluster-occupancy", 8}),
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, wantEnd) {
+		t.Errorf("final snapshot:\n got %+v\nwant %+v", got, wantEnd)
+	}
+	if !reflect.DeepEqual(r.Series(), wantEnd.Series) {
+		t.Errorf("Series() = %+v, want %+v", r.Series(), wantEnd.Series)
+	}
+	for name, want := range wantEnd.Counters {
+		if got := r.Counter(name); got != want {
+			t.Errorf("Counter(%q) = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range wantEnd.Gauges {
+		if got := r.Gauge(name); got != want {
+			t.Errorf("Gauge(%q) = %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range wantEnd.Hists {
+		if got := r.Hist(name); got == nil || *got != want {
+			t.Errorf("Hist(%q) = %+v, want %+v", name, got, want)
+		}
+	}
+	if r.Counter("ev/absent") != 0 || r.Gauge("absent") != 0 || r.Hist("absent") != nil {
+		t.Error("absent metrics must read as 0, 0 and nil")
+	}
+
+	var csv bytes.Buffer
+	if err := r.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	const wantCSV = `cycle,name,value
+1,lsq-occupancy,3
+19,cluster-occupancy,17
+20,rob-occupancy,18
+21,iq-occupancy,19
+22,lsq-occupancy,20
+41,rob-occupancy,30
+42,cluster-occupancy,8
+`
+	if csv.String() != wantCSV {
+		t.Errorf("csv:\n%s\nwant:\n%s", csv.String(), wantCSV)
+	}
+
+	const wantSummary = `counters
+name                  count
+--------------------  -----
+ev/cluster-evict      1    
+ev/cluster-load       1    
+ev/cluster-occupancy  3    
+ev/cluster-reuse      1    
+ev/commit             3    
+ev/fetch              2    
+ev/flane-xfer         1    
+ev/flush              1    
+ev/iq-occupancy       1    
+ev/issue              1    
+ev/lane-xfer          1    
+ev/lsq-occupancy      3    
+ev/mispredict         1    
+ev/pe-disable         1    
+ev/pe-enable          1    
+ev/rename             1    
+ev/retire             22   
+ev/rob-occupancy      2    
+ev/simt-thread        1    
+ev/writeback          1    
+
+gauges (last value)
+name               value
+-----------------  -----
+lsq-occupancy      1    
+cluster-occupancy  8    
+user/gauge         -2   
+rob-occupancy      30   
+iq-occupancy       19   
+
+histograms
+name            count  mean   p50<=  p99<=  max
+--------------  -----  -----  -----  -----  ---
+commit/latency  3      6.67   7      15     14 
+retire/latency  3      16.67  15     63     40 
+user/hist       1      9.00   15     15     9  
+`
+	if got := r.Summary(); got != wantSummary {
+		t.Errorf("summary:\n%s\nwant:\n%s", got, wantSummary)
 	}
 }
