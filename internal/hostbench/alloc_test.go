@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"diag"
 	"diag/internal/asm"
 	idiag "diag/internal/diag"
 	"diag/internal/iss"
@@ -230,5 +231,77 @@ func TestE2EWarmedAllocationsPinned(t *testing.T) {
 	}
 	if bytes != runs*mem.PageSize {
 		t.Errorf("%d warmed hotspot runs: %d B, want %d (one page each)", runs, bytes, runs*mem.PageSize)
+	}
+}
+
+// observedLoop is a loop of iters iterations in the shape of perfbench's
+// server miss program: four instructions per iteration and one store.
+func observedLoop(t *testing.T, iters int) *diag.Program {
+	t.Helper()
+	p, err := diag.Assemble(fmt.Sprintf(`
+	.data
+out:
+	.word 0
+	.text
+	li   t0, 0
+	li   t1, %d
+	li   t3, 0
+loop:
+	addi t2, t0, 3
+	xor  t3, t3, t2
+	addi t0, t0, 1
+	blt  t0, t1, loop
+	la   t4, out
+	sw   t3, 0(t4)
+	ebreak
+`, iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestObservedRunAllocationsFlat pins the cost of watching a run: a
+// whole run under WithObserver(NewMetrics(0)) on F4C2 and on the
+// out-of-order baseline must allocate about as much at 4N loop
+// iterations as at N. The registry resolves each event kind's metrics
+// on its first event, so the only growth left is the occupancy
+// timeseries, whose slice grows geometrically: a few allocations, not
+// one per event (a per-event allocation would add over 60000 here).
+func TestObservedRunAllocationsFlat(t *testing.T) {
+	const n = 5000
+	small, large := observedLoop(t, n), observedLoop(t, 4*n)
+	for _, c := range []struct {
+		name   string
+		target func() diag.Target
+	}{
+		{"F4C2", func() diag.Target { return diag.DiAG(diag.F4C2()) }},
+		{"ooo", func() diag.Target { return diag.OoO(diag.Baseline()) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(p *diag.Program) (objects, samples int64) {
+				met := diag.NewMetrics(0)
+				var err error
+				objects, _ = allocs(t, func() {
+					_, err = c.target().Run(p, diag.WithObserver(met))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if met.Counter("ev/retire")+met.Counter("ev/commit") == 0 {
+					t.Fatal("observer saw no retires")
+				}
+				return objects, int64(len(met.Series()))
+			}
+			run(small) // fault in anything allocated once per process
+			o1, s1 := run(small)
+			o4, s4 := run(large)
+			t.Logf("%s: %d allocations (%d samples) at %d iterations, %d (%d samples) at %d", c.name, o1, s1, n, o4, s4, 4*n)
+			const growth = 16 // append growth of the timeseries from s1 to s4 rows
+			if o4-o1 > growth {
+				t.Errorf("%s: %d allocations at %d iterations vs %d at %d: more than %d apart, so something allocates per event",
+					c.name, o4, 4*n, o1, n, growth)
+			}
+		})
 	}
 }

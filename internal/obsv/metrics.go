@@ -111,14 +111,21 @@ type Registry struct {
 	SampleEvery int64
 
 	names    []string // counter insertion order
-	counters map[string]uint64
-	gauges   map[string]int64
+	counters map[string]*uint64
+	gauges   map[string]*int64
 	gnames   []string
 	hists    map[string]*IntervalHist
 	hnames   []string
 
-	series     []Sample
-	lastSample map[string]int64 // series name -> last retained cycle
+	series []Sample
+
+	// Per-kind handles into the maps above, filled by a kind's first
+	// event so that Emit builds no name and looks nothing up.
+	kindCounter [NumKinds]*uint64
+	kindGauge   [NumKinds]*int64
+	kindHist    [NumKinds]*IntervalHist
+	lastSample  [NumKinds]int64 // cycle of the series' last retained sample
+	sampled     [NumKinds]bool  // whether the series has a retained sample
 }
 
 // NewRegistry returns an empty registry whose occupancy timeseries
@@ -131,76 +138,98 @@ func NewRegistry(sampleEvery int64) *Registry {
 	}
 	return &Registry{
 		SampleEvery: sampleEvery,
-		counters:    make(map[string]uint64),
-		gauges:      make(map[string]int64),
+		counters:    make(map[string]*uint64),
+		gauges:      make(map[string]*int64),
 		hists:       make(map[string]*IntervalHist),
-		lastSample:  make(map[string]int64),
 	}
+}
+
+// handle returns the metric called name in m, creating it on first use
+// and recording it in order, the first-use order Summary prints.
+func handle[T any](m map[string]*T, order *[]string, name string) *T {
+	p, ok := m[name]
+	if !ok {
+		p = new(T)
+		m[name] = p
+		*order = append(*order, name)
+	}
+	return p
 }
 
 // Inc adds n to the named monotonic counter, creating it on first use.
-func (r *Registry) Inc(name string, n uint64) {
-	if _, ok := r.counters[name]; !ok {
-		r.names = append(r.names, name)
-	}
-	r.counters[name] += n
-}
+func (r *Registry) Inc(name string, n uint64) { *handle(r.counters, &r.names, name) += n }
 
 // Counter returns the counter's value (0 if absent).
-func (r *Registry) Counter(name string) uint64 { return r.counters[name] }
-
-// SetGauge records the gauge's latest value, creating it on first use.
-func (r *Registry) SetGauge(name string, v int64) {
-	if _, ok := r.gauges[name]; !ok {
-		r.gnames = append(r.gnames, name)
+func (r *Registry) Counter(name string) uint64 {
+	if c := r.counters[name]; c != nil {
+		return *c
 	}
-	r.gauges[name] = v
+	return 0
 }
 
+// SetGauge records the gauge's latest value, creating it on first use.
+func (r *Registry) SetGauge(name string, v int64) { *handle(r.gauges, &r.gnames, name) = v }
+
 // Gauge returns the gauge's last value (0 if absent).
-func (r *Registry) Gauge(name string) int64 { return r.gauges[name] }
+func (r *Registry) Gauge(name string) int64 {
+	if g := r.gauges[name]; g != nil {
+		return *g
+	}
+	return 0
+}
 
 // Observe records v into the named interval histogram, creating it on
 // first use.
-func (r *Registry) Observe(name string, v int64) {
-	h, ok := r.hists[name]
-	if !ok {
-		h = &IntervalHist{}
-		r.hists[name] = h
-		r.hnames = append(r.hnames, name)
-	}
-	h.Observe(v)
-}
+func (r *Registry) Observe(name string, v int64) { handle(r.hists, &r.hnames, name).Observe(v) }
 
 // Hist returns the named histogram, or nil if absent.
 func (r *Registry) Hist(name string) *IntervalHist { return r.hists[name] }
 
-// sample appends a timeseries row if the series' downsampling window
-// has passed, and updates the series' gauge either way.
-func (r *Registry) sample(name string, cycle, v int64) {
-	r.SetGauge(name, v)
-	last, seen := r.lastSample[name]
-	if seen && cycle-last < r.SampleEvery {
-		return
+// resolve fills kind k's handles on its first event through handle, as
+// Inc, SetGauge and Observe do: the event stream and a caller share one
+// metric per name, and first-use order is unchanged.
+func (r *Registry) resolve(k Kind) *uint64 {
+	c := handle(r.counters, &r.names, "ev/"+kindNames[k])
+	r.kindCounter[k] = c
+	switch {
+	case k.Occupancy():
+		r.kindGauge[k] = handle(r.gauges, &r.gnames, kindNames[k])
+	case k == KindRetire:
+		r.kindHist[k] = handle(r.hists, &r.hnames, "retire/latency")
+	case k == KindCommit:
+		r.kindHist[k] = handle(r.hists, &r.hnames, "commit/latency")
 	}
-	r.lastSample[name] = cycle
-	r.series = append(r.series, Sample{Cycle: cycle, Name: name, Value: v})
+	return c
 }
 
 // Emit implements Observer: every event bumps its kind counter;
 // occupancy kinds feed the gauge + timeseries; retire/commit durations
-// feed latency histograms.
+// feed latency histograms. After a kind's first event it neither
+// allocates nor looks up a map (the timeseries append aside).
 func (r *Registry) Emit(e Event) {
 	k := e.Kind % NumKinds
-	r.Inc("ev/"+kindNames[k], 1)
-	switch {
-	case k.Occupancy():
-		r.sample(kindNames[k], e.Cycle, e.Val)
-	case k == KindRetire:
-		r.Observe("retire/latency", e.Val)
-	case k == KindCommit:
-		r.Observe("commit/latency", e.Val)
+	c := r.kindCounter[k]
+	if c == nil {
+		c = r.resolve(k)
 	}
+	*c++
+	if g := r.kindGauge[k]; g != nil {
+		*g = e.Val
+		r.sample(k, e.Cycle, e.Val)
+	} else if h := r.kindHist[k]; h != nil {
+		h.Observe(e.Val)
+	}
+}
+
+// sample appends a timeseries row for occupancy kind k if its
+// downsampling window has passed.
+func (r *Registry) sample(k Kind, cycle, v int64) {
+	if r.sampled[k] && cycle-r.lastSample[k] < r.SampleEvery {
+		return
+	}
+	r.sampled[k] = true
+	r.lastSample[k] = cycle
+	r.series = append(r.series, Sample{Cycle: cycle, Name: kindNames[k], Value: v})
 }
 
 // Series returns the retained timeseries rows in emission order. The
@@ -226,10 +255,10 @@ func (r *Registry) Snapshot() *Snapshot {
 		Series:   append([]Sample(nil), r.series...),
 	}
 	for k, v := range r.counters {
-		s.Counters[k] = v
+		s.Counters[k] = *v
 	}
 	for k, v := range r.gauges {
-		s.Gauges[k] = v
+		s.Gauges[k] = *v
 	}
 	for k, h := range r.hists {
 		s.Hists[k] = *h
@@ -259,14 +288,14 @@ func (r *Registry) Summary() string {
 	names := append([]string(nil), r.names...)
 	sort.Strings(names)
 	for _, n := range names {
-		tab.AddRowf(n, r.counters[n])
+		tab.AddRowf(n, *r.counters[n])
 	}
 	b.WriteString(tab.String())
 	if len(r.gnames) > 0 {
 		b.WriteByte('\n')
 		tab = stats.NewTable("gauges (last value)", "name", "value")
 		for _, n := range r.gnames {
-			tab.AddRowf(n, r.gauges[n])
+			tab.AddRowf(n, *r.gauges[n])
 		}
 		b.WriteString(tab.String())
 	}
