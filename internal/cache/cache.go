@@ -10,7 +10,10 @@
 // with unlimited MSHRs but finite bank bandwidth).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Port is anything that can service a timed memory access.
 type Port interface {
@@ -107,6 +110,12 @@ type Cache struct {
 	lastReq   []int64 // per bank: latest request time seen
 	useClock  int64   // LRU tick
 
+	// index's shifts and masks, derived from the geometry in New: every
+	// line size, set count and bank count is a power of two (validate),
+	// so they equal its divisions and remainders exactly.
+	lineShift, setShift uint
+	setMask, bankMask   uint32
+
 	Stats Stats
 }
 
@@ -133,18 +142,22 @@ func New(cfg Config, lower Port) *Cache {
 		sets:      sets,
 		busyUntil: make([]int64, cfg.Banks),
 		lastReq:   make([]int64, cfg.Banks),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+		setMask:   uint32(nsets - 1),
+		bankMask:  uint32(cfg.Banks - 1),
 	}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// index splits addr into its set, tag and bank: line % sets, line /
+// sets and line % Banks of line = addr / LineSize, computed by shifts
+// and masks.
 func (c *Cache) index(addr uint32) (set uint32, tag uint32, bank uint32) {
-	line := addr / uint32(c.cfg.LineSize)
-	set = line % uint32(len(c.sets))
-	tag = line / uint32(len(c.sets))
-	bank = line % uint32(c.cfg.Banks)
-	return
+	line := addr >> c.lineShift
+	return line & c.setMask, line >> c.setShift, line & c.bankMask
 }
 
 // Access implements Port.

@@ -77,14 +77,22 @@ type Ring struct {
 	fpus        [][]int64     // per cluster shared-FPU pools (SharedFPUs)
 	specTargets []specTarget  // branch PC -> last taken-target line (SpeculativeDatapaths); nil when off
 
-	// Hot-path lookup structures. loaded lists the indices of currently
-	// loaded clusters (order irrelevant) so the per-step scans touch only
-	// resident clusters; lastCi is a one-entry findCluster hint — loops
-	// overwhelmingly stay in one cluster between steps — validated against
-	// the cluster's base before use, so it can never go stale.
-	clusterMask uint32 // ClusterBytes()-1, hoisted out of lineBase
-	loaded      []int
-	lastCi      int
+	// Hot-path lookup structures, derived from the configuration and the
+	// cluster array. loaded lists the indices of currently loaded
+	// clusters (order irrelevant) so the per-step scans touch only
+	// resident clusters. lastCi is a one-entry findCluster hint — loops
+	// overwhelmingly stay in one cluster between steps — and nextCi is
+	// the sequential-prefetch probe's own hint, so probing the next line
+	// never evicts the step's; both are validated against the cluster's
+	// base before use, so they can never go stale. seg[p] is p /
+	// LaneBufferEvery, the lane segment of window position p.
+	clusterBytes uint32 // ClusterBytes(), hoisted out of the step loop
+	clusterMask  uint32 // ClusterBytes()-1, hoisted out of lineBase
+	halfPEs      int    // PEsPerCluster/2: where the prefetch probe starts
+	seg          []int32
+	loaded       []int
+	lastCi       int
+	nextCi       int
 
 	now           int64 // frontier: latest retire time
 	prevRetire    int64
@@ -103,15 +111,22 @@ type Ring struct {
 // newRing wires a ring above the shared L2 (which may be nil).
 func newRing(cfg Config, m *mem.Memory, entry uint32, shared cache.Port) *Ring {
 	r := &Ring{
-		cfg:         cfg,
-		cpu:         iss.New(m, entry),
-		clusters:    make([]clusterState, cfg.Clusters),
-		peFree:      make([]int64, cfg.Clusters*cfg.PEsPerCluster),
-		disabled:    make([]bool, cfg.Clusters),
-		enabled:     cfg.Clusters,
-		clusterMask: cfg.ClusterBytes() - 1,
-		loaded:      make([]int, 0, cfg.Clusters),
-		lastCi:      -1,
+		cfg:          cfg,
+		cpu:          iss.New(m, entry),
+		clusters:     make([]clusterState, cfg.Clusters),
+		peFree:       make([]int64, cfg.Clusters*cfg.PEsPerCluster),
+		disabled:     make([]bool, cfg.Clusters),
+		enabled:      cfg.Clusters,
+		clusterBytes: cfg.ClusterBytes(),
+		clusterMask:  cfg.ClusterBytes() - 1,
+		halfPEs:      cfg.PEsPerCluster / 2,
+		seg:          make([]int32, cfg.Clusters*cfg.PEsPerCluster),
+		loaded:       make([]int, 0, cfg.Clusters),
+		lastCi:       -1,
+		nextCi:       -1,
+	}
+	for p := range r.seg {
+		r.seg[p] = int32(p / cfg.LaneBufferEvery)
 	}
 	for i := 0; i < cfg.Clusters && i < 64; i++ {
 		if cfg.DisabledClusterMask&(1<<uint(i)) != 0 {
@@ -196,7 +211,7 @@ func (r *Ring) DisableCluster(i int) bool {
 }
 
 // dropLoaded removes cluster i from the loaded-cluster list (swap-delete;
-// order is irrelevant) and clears the findCluster hint if it pointed there.
+// order is irrelevant) and clears the lookup hints that pointed there.
 func (r *Ring) dropLoaded(i int) {
 	for k, ci := range r.loaded {
 		if ci == i {
@@ -207,6 +222,9 @@ func (r *Ring) dropLoaded(i int) {
 	}
 	if r.lastCi == i {
 		r.lastCi = -1
+	}
+	if r.nextCi == i {
+		r.nextCi = -1
 	}
 }
 
@@ -248,14 +266,19 @@ func (r *Ring) lineBase(addr uint32) uint32 { return addr &^ r.clusterMask }
 // The last-hit hint short-circuits the overwhelmingly common case of
 // consecutive steps landing in the same cluster; otherwise only loaded
 // clusters are scanned.
-func (r *Ring) findCluster(addr uint32) int {
+func (r *Ring) findCluster(addr uint32) int { return r.lookup(addr, &r.lastCi) }
+
+// lookup is findCluster through the one-entry hint *hint, which it
+// validates before use and refreshes on a scan hit. A line is loaded
+// into at most one cluster, so the hint never changes the answer.
+func (r *Ring) lookup(addr uint32, hint *int) int {
 	base := addr &^ r.clusterMask
-	if ci := r.lastCi; ci >= 0 && r.clusters[ci].base == base && r.clusters[ci].loaded {
+	if ci := *hint; ci >= 0 && r.clusters[ci].base == base && r.clusters[ci].loaded {
 		return ci
 	}
 	for _, i := range r.loaded {
 		if r.clusters[i].base == base {
-			r.lastCi = i
+			*hint = i
 			return i
 		}
 	}
@@ -269,15 +292,15 @@ func (r *Ring) windowPos(ci int, pc uint32) int {
 
 // laneDelay returns the register-lane propagation delay from the producer
 // at position from to the consumer at position to: one cycle per lane
-// buffer crossed going forward (§6.1.2); a wrap backwards rides the
-// shared bus (§5.1.3).
+// buffer crossed going forward (§6.1.2), to/LaneBufferEvery -
+// from/LaneBufferEvery read from the segment table; a wrap backwards
+// rides the shared bus (§5.1.3).
 func (r *Ring) laneDelay(from, to int) int64 {
 	if from < 0 {
 		return 0
 	}
-	k := r.cfg.LaneBufferEvery
 	if from <= to {
-		return int64(to/k - from/k)
+		return int64(r.seg[to] - r.seg[from])
 	}
 	return int64(r.cfg.BusCycles)
 }
@@ -658,9 +681,9 @@ func (r *Ring) RunUntil(ctx context.Context, limit uint64) (paused bool, err err
 		// preloads the next line so straight-line code never waits (§5.1.1
 		// "loading a single instruction cache line ... while the current
 		// clusters execute").
-		if !ex.Taken {
-			next := cl.base + cfg.ClusterBytes()
-			if int(pc-cl.base)/4 >= cfg.PEsPerCluster/2 && r.findCluster(next) < 0 {
+		if !ex.Taken && int(pc-cl.base)/4 >= r.halfPEs {
+			next := cl.base + r.clusterBytes
+			if r.lookup(next, &r.nextCi) < 0 {
 				r.loadLine(next, r.now, ci) //nolint: background prefetch
 			}
 		}

@@ -14,10 +14,11 @@ import (
 // checkpoint/restore (internal/snap). Everything the ring's future
 // timing or architecture depends on is in RingState; the only fields
 // not carried are host-side accelerations that rebuild with identical
-// behaviour: the findCluster hint (lastCi, re-validated before every
-// use), the loaded-cluster index list (recomputed from the cluster
-// array), and the ISS predecode cache (generation-tagged, see
-// iss.CPUState).
+// behaviour: the cluster lookup hints (lastCi and nextCi, re-validated
+// before every use), the loaded-cluster index list (recomputed from the
+// cluster array), the lane segment table and hoisted geometry (derived
+// from the configuration), and the ISS predecode cache
+// (generation-tagged, see iss.CPUState).
 
 // ClusterState is one processing cluster's load state.
 // Field order is diag-snap/v1: a new or moved field needs a schema bump.
@@ -153,6 +154,13 @@ func (r *Ring) SetState(st *RingState) error {
 			return fmt.Errorf("diag: state FPU pool %d has %d units, config needs %d", i, len(p), len(r.fpus[i]))
 		}
 	}
+	for i := range st.IntSrc {
+		for _, s := range [...]OperandState{st.IntSrc[i], st.FPSrc[i]} {
+			if s.Pos < -1 || s.Pos >= len(r.peFree) {
+				return fmt.Errorf("diag: state register lane %d names producer position %d of %d", i, s.Pos, len(r.peFree))
+			}
+		}
+	}
 	r.cpu.SetState(&st.CPU)
 	if err := r.watchdog.SetState(&st.Watchdog); err != nil {
 		return err
@@ -180,7 +188,7 @@ func (r *Ring) SetState(st *RingState) error {
 			r.loaded = append(r.loaded, i)
 		}
 	}
-	r.lastCi = -1
+	r.lastCi, r.nextCi = -1, -1
 	copy(r.peFree, st.PEFree)
 	for i, s := range st.IntSrc {
 		r.intSrc[i] = operandSrc{ready: s.Ready, pos: s.Pos, isLoad: s.IsLoad}

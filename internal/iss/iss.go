@@ -254,7 +254,13 @@ func (c *CPU) step(ex *Exec) {
 		c.failInto(ex, "iss: at PC 0x%x: %v", c.PC, err)
 		return
 	}
-	*ex = Exec{PC: c.PC, Inst: *in, NextPC: c.PC + 4}
+	// Prime the record field by field: a composite literal would be
+	// built in a temporary and then copied whole.
+	ex.PC = c.PC
+	ex.Inst = *in
+	ex.NextPC = c.PC + 4
+	ex.Taken = false
+	ex.MemAddr = 0
 	c.exec(in, ex)
 	c.X[0] = 0
 	if !c.Halted {

@@ -472,3 +472,36 @@ func TestDivRemInvariantQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStepIntoOverwritesRecord: step primes the Exec record field by
+// field, so every field must be written on every step, whatever the
+// scratch held before — a taken jump's Taken and a store's MemAddr
+// must not leak into the next instruction's record.
+func TestStepIntoOverwritesRecord(t *testing.T) {
+	prog := []isa.Inst{
+		{Op: isa.OpADDI, Rd: isa.A0, Rs1: isa.Zero, Imm: 0x100},
+		{Op: isa.OpSW, Rs1: isa.A0, Rs2: isa.A0, Imm: 4},
+		{Op: isa.OpJAL, Rd: isa.Zero, Imm: 4},
+		{Op: isa.OpADDI, Rd: isa.A1, Rs1: isa.A0, Imm: 1},
+		{Op: isa.OpEBREAK},
+	}
+	c := load(t, prog)
+	dirty := Exec{PC: ^uint32(0), Inst: isa.Inst{Op: isa.OpLW, Rd: 9, Rs1: 9, Rs2: 9, Rs3: 9, Imm: -1},
+		NextPC: ^uint32(0), Taken: true, MemAddr: ^uint32(0)}
+	want := []Exec{
+		{PC: 0x1000, Inst: prog[0], NextPC: 0x1004},
+		{PC: 0x1004, Inst: prog[1], NextPC: 0x1008, MemAddr: 0x104},
+		{PC: 0x1008, Inst: prog[2], NextPC: 0x100c, Taken: true},
+		{PC: 0x100c, Inst: prog[3], NextPC: 0x1010},
+	}
+	var ex Exec
+	for i, w := range want {
+		if i%2 == 0 {
+			ex = dirty
+		}
+		c.StepInto(&ex)
+		if ex != w {
+			t.Fatalf("step %d: got %+v, want %+v", i, ex, w)
+		}
+	}
+}

@@ -90,12 +90,13 @@ func (j *Job) setProgress(done, total int) {
 
 // complete finishes the job exactly once; later calls are ignored (a
 // job completed from the success path must not be re-completed by the
-// batch error sweep). cached marks a cache or coalesce fill.
-func (j *Job) complete(body []byte, err error, cached bool, now time.Time) bool {
+// batch error sweep). cached marks a cache or coalesce fill. Callers
+// count the job in the metrics before completing it.
+func (j *Job) complete(body []byte, err error, cached bool, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
-		return false
+		return
 	}
 	j.finished = now
 	j.cached = cached
@@ -107,7 +108,6 @@ func (j *Job) complete(body []byte, err error, cached bool, now time.Time) bool 
 		j.result = body
 	}
 	close(j.done)
-	return true
 }
 
 // Timings is the per-request latency breakdown every job response

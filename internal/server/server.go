@@ -247,8 +247,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.m.inc(mCacheHits, 1)
 		s.m.inc(mSubmitted, 1)
-		j.complete(body, nil, true, time.Now())
 		s.m.inc(mJobsDone, 1)
+		j.complete(body, nil, true, time.Now())
 		s.respondSubmit(w, r, j, http.StatusOK)
 		return
 	}
@@ -341,10 +341,11 @@ func (s *Server) runBatch(batch []*submission) {
 	}
 	s.mu.Unlock()
 
+	// Count before completing: completion releases a ?wait= client,
+	// which may read /metrics at once.
 	for _, fill := range fills {
-		if fill.j.complete(fill.body, nil, true, time.Now()) {
-			s.m.inc(mJobsDone, 1)
-		}
+		s.m.inc(mJobsDone, 1)
+		fill.j.complete(fill.body, nil, true, time.Now())
 	}
 	if len(fresh) == 0 {
 		return
@@ -425,7 +426,11 @@ func (s *Server) execFlights(fresh []*flight) {
 // in-flight entry, and complete every attached job. Cache fill and
 // in-flight removal happen under one lock acquisition, so a concurrent
 // coalesce attempt either attaches before completion (and is completed
-// here) or sees the cache entry — never neither.
+// here) or sees the cache entry — never neither. Taking f.jobs under
+// that lock also hands each attached job to exactly one call, and no
+// other path completes a job attached to a flight, so every job here is
+// still open: it is counted and timed first, then completed, because
+// completion releases a ?wait= client that may read /metrics at once.
 func (s *Server) finishFlight(f *flight, body []byte, err error) {
 	s.mu.Lock()
 	if err == nil {
@@ -441,21 +446,21 @@ func (s *Server) finishFlight(f *flight, body []byte, err error) {
 
 	now := time.Now()
 	for i, j := range js {
-		// The first attached job owns the simulation; the rest were
-		// coalesced onto it.
-		if j.complete(body, err, i > 0 && err == nil, now) {
-			if err != nil {
-				s.m.inc(mJobsFailed, 1)
-			} else {
-				s.m.inc(mJobsDone, 1)
-			}
+		if err != nil {
+			s.m.inc(mJobsFailed, 1)
+		} else {
+			s.m.inc(mJobsDone, 1)
 		}
 		s.observeJobLatency(j, now)
+		// The first attached job owns the simulation; the rest were
+		// coalesced onto it.
+		j.complete(body, err, i > 0 && err == nil, now)
 	}
 }
 
-// observeJobLatency folds one finished job's stage durations into the
-// latency histograms.
+// observeJobLatency folds the stage durations of a job finishing at now
+// into the latency histograms. Every job reaching it was batched, so its
+// queued time does not depend on whether it is completed yet.
 func (s *Server) observeJobLatency(j *Job, now time.Time) {
 	v := j.View(now)
 	s.m.observe(hQueuedMs, int64(v.Timings.QueuedMs))

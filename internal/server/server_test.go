@@ -582,3 +582,34 @@ func TestResultsNameTheRegistryMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCountJobBeforeWaitReturns reads /metrics the moment each
+// ?wait= submit returns: the job that released the client must already
+// be counted as done and folded into the latency histogram. Every
+// submit is a distinct program, so every one is a fresh simulation.
+func TestMetricsCountJobBeforeWaitReturns(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	metric := func(text, name string) string {
+		for _, line := range strings.Split(text, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+				return f[1]
+			}
+		}
+		return ""
+	}
+	const n = 200
+	for i := 1; i <= n; i++ {
+		prog, _ := json.Marshal(strings.Replace(testProg, "li x5, 42", fmt.Sprintf("li x5, %d", i), 1))
+		body := fmt.Sprintf(`{"kind":"run","machine":"iss","asm":%s}`, prog)
+		if code, v := submit(t, ts, body, true); code != http.StatusOK || v.Cached {
+			t.Fatalf("submit %d: status %d, cached %v", i, code, v.Cached)
+		}
+		_, raw := fetch(t, ts, "/metrics")
+		want := fmt.Sprint(i)
+		for _, name := range []string{"diag_server_jobs_done_total", "diag_server_job_total_ms_count"} {
+			if got := metric(string(raw), name); got != want {
+				t.Fatalf("after submit %d: %s = %q, want %s", i, name, got, want)
+			}
+		}
+	}
+}
