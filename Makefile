@@ -58,10 +58,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Host simulator throughput: run the repository benchmark (perfbench,
-# declared by BENCHMARK.json) on each workload for its run_seconds and
-# record each result line, with num_cpu and the Go version, as
+# declared by BENCHMARK.json) three times on each workload for its
+# run_seconds, round-robin over the workloads, and record per metric the
+# median and quartiles, with num_cpu and the Go version, as
 # BENCH_<workload>.json. Warn-compare a fresh run against the committed
-# baseline with: python3 scripts/bench.py compare kernels
+# medians with: python3 scripts/bench.py compare kernels
 bench-host:
 	python3 scripts/bench.py record kernels batch serve
 

@@ -9,14 +9,19 @@ Usage (from the root of a checkout):
 Both run the command BENCHMARK.json declares (perfbench/run.py) with
 seed 1 and --trace 0.
 
-record runs each workload for BENCHMARK.json's run_seconds and writes
-BENCH_<workload>.json: the run's JSON result line wrapped with the
-host's num_cpu and the Go version.
+record runs each workload RECORD_RUNS times for BENCHMARK.json's
+run_seconds, round-robin over the workloads so that each one's runs
+are spread over the host's slow and fast phases, and writes
+BENCH_<workload>.json: per end-to-end metric the median of the runs
+(as "value") with its quartiles and the run values, the runs' summed
+operation counts, the host's num_cpu and the Go version. One run on a
+shared host moves by a quarter or more with the host's phases; the
+median of alternated runs moves much less.
 
 compare makes a short run (COMPARE_SECONDS: perfbench's metrics are
 per-operation estimates, so a short run estimates the same quantities
 as the baseline's long one, only less precisely), sets each end-to-end
-metric against the committed BENCH_<workload>.json, and marks WARN
+metric against the committed BENCH_<workload>.json's median, and marks WARN
 where it is worse by more than the metric's bound in BENCHMARK.json
 (in its "better" direction, as a fraction of the baseline). The
 comparison is warn-only: a baseline from other hardware, or a shared
@@ -26,11 +31,13 @@ itself fails or reports a wrong output.
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 
 SEED = 1
 COMPARE_SECONDS = 10
+RECORD_RUNS = 3
 
 
 def run(spec, workload, seconds):
@@ -57,6 +64,27 @@ def run(spec, workload, seconds):
         "go_version": go,
         "result": result,
     }
+
+
+def summarize(runs):
+    """Folds several runs of one workload into one record: per metric
+    the median as the value, with its quartiles and the run values."""
+    results = [r["result"] for r in runs]
+    metrics = {}
+    for name, m in results[0]["metrics"].items():
+        values = [res["metrics"][name]["value"] for res in results]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        metrics[name] = {"unit": m["unit"], "value": statistics.median(values),
+                         "q1": q1, "q3": q3, "values": values}
+    out = dict(runs[0])
+    out["runs"] = len(runs)
+    out["result"] = {
+        "correct": all(res["correct"] for res in results),
+        "attempted": sum(res["attempted"] for res in results),
+        "failed": sum(res["failed"] for res in results),
+        "metrics": metrics,
+    }
+    return out
 
 
 def failed_share(result):
@@ -96,21 +124,23 @@ def main():
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
-    seconds = spec["run_seconds"] if args.mode == "record" else COMPARE_SECONDS
-    warned = 0
-    for w in args.workloads:
-        path = f"BENCH_{w}.json"
-        if args.mode == "compare":
-            with open(path) as f:
-                base = json.load(f)
-        res = run(spec, w, seconds)
-        if args.mode == "record":
+    if args.mode == "record":
+        runs = {w: [] for w in args.workloads}
+        for _ in range(RECORD_RUNS):
+            for w in args.workloads:
+                runs[w].append(run(spec, w, spec["run_seconds"]))
+        for w in args.workloads:
+            path = f"BENCH_{w}.json"
             with open(path, "w") as f:
-                json.dump(res, f, indent=2, sort_keys=True)
+                json.dump(summarize(runs[w]), f, indent=2, sort_keys=True)
                 f.write("\n")
             print(f"bench: wrote {path}", file=sys.stderr)
-        else:
-            warned += compare(spec, base, res)
+        return
+    warned = 0
+    for w in args.workloads:
+        with open(f"BENCH_{w}.json") as f:
+            base = json.load(f)
+        warned += compare(spec, base, run(spec, w, COMPARE_SECONDS))
     if warned:
         print(f"bench: {warned} row(s) worse than their bound (warn-only)", file=sys.stderr)
 
