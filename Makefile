@@ -22,12 +22,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The gate CI runs: formatting, static checks, and the race-enabled
-# suite. gofmt sees only tracked files, so ignored build output (e.g.
-# .bench_build/) is never checked.
+# The gate CI runs: formatting, static checks, the inlining of the
+# ISS's byte-load path, and the race-enabled suite. gofmt sees only
+# tracked files, so ignored build output (e.g. .bench_build/) is never
+# checked. mem.(*Memory).LoadByte and the page lookup it inlines sit at
+# the inliner's budget; a change that pushes either over it puts a
+# function call on every byte and halfword load.
 check:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	@inl=$$($(GO) build -gcflags=-m ./internal/mem 2>&1); \
+	for f in LoadByte page; do \
+		echo "$$inl" | grep -qE "can inline \(\*Memory\)\.$$f$$" || \
+			{ echo "internal/mem: (*Memory).$$f is no longer inlinable (go build -gcflags=-m=2 ./internal/mem says why)"; exit 1; }; \
+	done
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./...

@@ -100,12 +100,26 @@ type way struct {
 	lastUse int64
 }
 
+// pageBits is log2 of how many consecutive sets share one page of ways
+// (fewer when the whole cache has fewer sets).
+const pageBits = 6
+
 // Cache is one set-associative cache level.
+//
+// The ways live in pages of consecutive sets, allocated on the first
+// install into one of their sets. A page never allocated reads as
+// all-invalid ways, so building a cache costs its page table, not its
+// capacity: a machine that runs a short program touches a few of a
+// 4 MiB L2's 128 pages.
 type Cache struct {
 	cfg   Config
 	lower Port
 
-	sets      [][]way
+	pages     [][]way // set-major; nil until the first install into it
+	pageWays  int     // ways per page: sets per page * Assoc
+	pageShift uint    // set >> pageShift is the set's page
+	pageMask  uint32  // set & pageMask is its set within the page
+
 	busyUntil []int64 // per bank
 	lastReq   []int64 // per bank: latest request time seen
 	useClock  int64   // LRU tick
@@ -127,23 +141,19 @@ func New(cfg Config, lower Port) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
-	// One flat backing array sliced per set: a 4 MiB L2 has 16 Ki sets,
-	// and one allocation instead of one per set makes machine
-	// construction cheap enough for Monte Carlo campaigns that build
-	// thousands of machines.
-	flat := make([]way, nsets*cfg.Assoc)
-	sets := make([][]way, nsets)
-	for i := range sets {
-		sets[i] = flat[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
+	setShift := uint(bits.TrailingZeros(uint(nsets)))
+	pageShift := min(setShift, pageBits)
 	return &Cache{
 		cfg:       cfg,
 		lower:     lower,
-		sets:      sets,
+		pages:     make([][]way, nsets>>pageShift),
+		pageWays:  cfg.Assoc << pageShift,
+		pageShift: pageShift,
+		pageMask:  1<<pageShift - 1,
 		busyUntil: make([]int64, cfg.Banks),
 		lastReq:   make([]int64, cfg.Banks),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+		setShift:  setShift,
 		setMask:   uint32(nsets - 1),
 		bankMask:  uint32(cfg.Banks - 1),
 	}
@@ -158,6 +168,17 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) index(addr uint32) (set uint32, tag uint32, bank uint32) {
 	line := addr >> c.lineShift
 	return line & c.setMask, line >> c.setShift, line & c.bankMask
+}
+
+// ways returns set's ways, or nil while its page was never allocated
+// (every way invalid).
+func (c *Cache) ways(set uint32) []way {
+	p := c.pages[set>>c.pageShift]
+	if p == nil {
+		return nil
+	}
+	i := int(set&c.pageMask) * c.cfg.Assoc
+	return p[i : i+c.cfg.Assoc]
 }
 
 // Access implements Port.
@@ -179,7 +200,7 @@ func (c *Cache) Access(now int64, addr uint32, write bool) int64 {
 	}
 
 	c.useClock++
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		w := &ways[i]
 		if w.valid && w.tag == tag {
@@ -206,7 +227,11 @@ func (c *Cache) Access(now int64, addr uint32, write bool) int64 {
 }
 
 func (c *Cache) install(set, tag uint32, dirty bool) {
-	ways := c.sets[set]
+	p := &c.pages[set>>c.pageShift]
+	if *p == nil {
+		*p = make([]way, c.pageWays)
+	}
+	ways := c.ways(set)
 	victim := 0
 	for i := range ways {
 		if !ways[i].valid {
@@ -225,7 +250,7 @@ func (c *Cache) install(set, tag uint32, dirty bool) {
 			if c.lower != nil {
 				// Writebacks consume lower-level bandwidth but the
 				// requesting instruction does not wait on them.
-				c.lower.Access(c.useClock, (w.tag*uint32(len(c.sets))+set)*uint32(c.cfg.LineSize), true)
+				c.lower.Access(c.useClock, (w.tag<<c.setShift|set)<<c.lineShift, true)
 			}
 		}
 	}
@@ -236,8 +261,8 @@ func (c *Cache) install(set, tag uint32, dirty bool) {
 // the demand access.
 func (c *Cache) prefetchLine(addr uint32) {
 	set, tag, _ := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, w := range c.ways(set) {
+		if w.valid && w.tag == tag {
 			return
 		}
 	}
@@ -252,7 +277,7 @@ func (c *Cache) prefetchLine(addr uint32) {
 // change); used by tests and the DiAG memory-lane model.
 func (c *Cache) Contains(addr uint32) bool {
 	set, tag, _ := c.index(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -260,13 +285,10 @@ func (c *Cache) Contains(addr uint32) bool {
 	return false
 }
 
-// Flush invalidates all lines and resets bank occupancy, keeping stats.
+// Flush invalidates all lines, dropping every page, and resets bank
+// occupancy, keeping stats.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
+	clear(c.pages)
 	for i := range c.busyUntil {
 		c.busyUntil[i] = 0
 		c.lastReq[i] = 0

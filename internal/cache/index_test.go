@@ -20,7 +20,7 @@ func TestIndexMatchesDivision(t *testing.T) {
 		{Name: "small-lines", Size: 1 << 10, LineSize: 4, Assoc: 2, Latency: 1, Banks: 8},
 	} {
 		c := New(cfg, nil)
-		line, sets, banks := uint32(cfg.LineSize), uint32(len(c.sets)), uint32(c.cfg.Banks)
+		line, sets, banks := uint32(cfg.LineSize), c.setMask+1, uint32(c.cfg.Banks)
 		rng := rand.New(rand.NewSource(1))
 		addrs := []uint32{0, 1, line - 1, line, ^uint32(0), ^uint32(0) - line}
 		for i := 0; i < 20000; i++ {

@@ -1,12 +1,15 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is a serializable copy of a Cache's timing state: every way of
-// every set (in set-major order over the flat backing array), per-bank
-// occupancy, the LRU tick, and the statistics counters. Geometry is not
-// part of the state — restore targets are built from the same static
-// Config and SetState validates the lengths against it.
+// every set in set-major order (zero ways for pages never allocated),
+// per-bank occupancy, the LRU tick, and the statistics counters.
+// Geometry is not part of the state — restore targets are built from
+// the same static Config and SetState validates the lengths against it.
 // Field order is diag-snap/v1: a new or moved field needs a schema bump.
 type State struct {
 	Ways      []WayState // len = sets * assoc, set-major
@@ -28,37 +31,44 @@ type WayState struct {
 // State captures the cache's timing state.
 func (c *Cache) State() State {
 	st := State{
-		Ways:      make([]WayState, 0, len(c.sets)*c.cfg.Assoc),
+		Ways:      make([]WayState, len(c.pages)*c.pageWays),
 		BusyUntil: append([]int64(nil), c.busyUntil...),
 		LastReq:   append([]int64(nil), c.lastReq...),
 		UseClock:  c.useClock,
 		Stats:     c.Stats,
 	}
-	for _, set := range c.sets {
-		for _, w := range set {
-			st.Ways = append(st.Ways, WayState{Tag: w.tag, Valid: w.valid, Dirty: w.dirty, LastUse: w.lastUse})
+	for i, p := range c.pages {
+		ws := st.Ways[i*c.pageWays:]
+		for j, w := range p {
+			ws[j] = WayState{Tag: w.tag, Valid: w.valid, Dirty: w.dirty, LastUse: w.lastUse}
 		}
 	}
 	return st
 }
 
 // SetState restores a previously captured State into c. It fails, with
-// c unchanged, when st's shape does not match c's geometry.
+// c unchanged, when st's shape does not match c's geometry. Only pages
+// holding a non-zero way are allocated; the rest are dropped.
 func (c *Cache) SetState(st *State) error {
-	if len(st.Ways) != len(c.sets)*c.cfg.Assoc {
+	if len(st.Ways) != len(c.pages)*c.pageWays {
 		return fmt.Errorf("cache %s: state has %d ways, geometry needs %d",
-			c.cfg.Name, len(st.Ways), len(c.sets)*c.cfg.Assoc)
+			c.cfg.Name, len(st.Ways), len(c.pages)*c.pageWays)
 	}
 	if len(st.BusyUntil) != len(c.busyUntil) || len(st.LastReq) != len(c.lastReq) {
 		return fmt.Errorf("cache %s: state has %d/%d banks, geometry needs %d",
 			c.cfg.Name, len(st.BusyUntil), len(st.LastReq), len(c.busyUntil))
 	}
-	k := 0
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			w := st.Ways[k]
-			c.sets[i][j] = way{tag: w.Tag, valid: w.Valid, dirty: w.Dirty, lastUse: w.LastUse}
-			k++
+	for i := range c.pages {
+		ws := st.Ways[i*c.pageWays : (i+1)*c.pageWays]
+		if !slices.ContainsFunc(ws, func(w WayState) bool { return w != WayState{} }) {
+			c.pages[i] = nil
+			continue
+		}
+		if c.pages[i] == nil {
+			c.pages[i] = make([]way, c.pageWays)
+		}
+		for j, w := range ws {
+			c.pages[i][j] = way{tag: w.Tag, valid: w.Valid, dirty: w.Dirty, lastUse: w.LastUse}
 		}
 	}
 	copy(c.busyUntil, st.BusyUntil)

@@ -305,3 +305,61 @@ func TestObservedRunAllocationsFlat(t *testing.T) {
 		})
 	}
 }
+
+// TestMachineBuildAllocationsPinned pins what building a machine costs
+// the host. A fresh machine is built for every figure cell, fault
+// trial, difftest program, explorer evaluation and server miss, and
+// most runs touch a sliver of their caches, so the caches' ways and the
+// predecode table are allocated on first touch: a build must allocate
+// under 128 KiB with the default 4 MiB L2 (a build that allocated every
+// way up front cost ~1.45 MB), and a 64 MiB L2 may add under 64 KiB
+// (its page table, not its ~17 MB of ways).
+func TestMachineBuildAllocationsPinned(t *testing.T) {
+	img := stepLoop(t)
+	const (
+		budget   = 128 << 10
+		l2Growth = 64 << 10
+	)
+	for _, c := range []struct {
+		name  string
+		build func(l2Size int) error
+	}{
+		{"F4C2", func(l2Size int) error {
+			cfg := idiag.F4C2()
+			cfg.L2Size = l2Size
+			_, err := idiag.NewMachine(cfg, img)
+			return err
+		}},
+		{"F4C16", func(l2Size int) error {
+			cfg := idiag.F4C16()
+			cfg.L2Size = l2Size
+			_, err := idiag.NewMachine(cfg, img)
+			return err
+		}},
+		{"ooo", func(l2Size int) error {
+			cfg := ooo.Baseline()
+			cfg.L2Size = l2Size
+			_, err := ooo.NewMachine(cfg, img)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			build := func(l2Size int) int64 {
+				var err error
+				_, bytes := allocs(t, func() { err = c.build(l2Size) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return bytes
+			}
+			b4, b64 := build(4<<20), build(64<<20)
+			t.Logf("%s: build allocates %d B with a 4 MiB L2, %d B with a 64 MiB L2", c.name, b4, b64)
+			if b4 >= budget {
+				t.Errorf("%s: build with a 4 MiB L2 allocates %d B, want under %d", c.name, b4, budget)
+			}
+			if b64-b4 >= l2Growth {
+				t.Errorf("%s: a 64 MiB L2 adds %d B to a build, want under %d", c.name, b64-b4, l2Growth)
+			}
+		})
+	}
+}

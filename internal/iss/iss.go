@@ -36,12 +36,25 @@ type Exec struct {
 // instructions indexed by word address. 4096 entries cover 16 KiB of
 // text with no conflicts — larger than every kernel in
 // internal/workloads — and conflicts only cost a re-decode, never
-// correctness.
+// correctness. The entries live in 16 pages of 256 (1 KiB of text
+// each), allocated on the first fill into them, so a CPU costs the
+// text it runs, not the whole table.
 const (
 	predecodeBits = 12
-	predecodeSize = 1 << predecodeBits
-	predecodeMask = predecodeSize - 1
+	predecodeMask = 1<<predecodeBits - 1
+	predPageBits  = 8
+	predPageMask  = 1<<predPageBits - 1
+	predPages     = 1 << (predecodeBits - predPageBits)
 )
+
+// predPage is one page of the predecode cache.
+type predPage [1 << predPageBits]predecoded
+
+// emptyPredPage is the shared, read-only page every predecode slot
+// starts at: its zero tags never match (a tag always has bit 0 set), so
+// the hit path needs no check for an unallocated page. fetch replaces
+// it with a private page before the first fill.
+var emptyPredPage predPage
 
 // predecoded is one predecode-cache entry. tag is the instruction's
 // word address with bit 0 set (so address 0 is representable and the
@@ -106,8 +119,8 @@ type CPU struct {
 	// differential testing and must be set before the first Run.
 	NoSuperblock bool
 
-	pred    []predecoded // direct-mapped predecode cache
-	rawInst isa.Inst     // scratch decode slot for the NoPredecode path
+	pred    [predPages]*predPage // direct-mapped predecode cache
+	rawInst isa.Inst             // scratch decode slot for the NoPredecode path
 
 	// blocks is the direct-mapped superblock cache. It is allocated
 	// lazily on the first block dispatch: only Run uses it, so the
@@ -142,12 +155,15 @@ type CPU struct {
 
 // New returns a CPU with the given memory and entry point.
 func New(m *mem.Memory, entry uint32) *CPU {
-	return &CPU{
+	c := &CPU{
 		Mem:      m,
 		PC:       entry,
 		simtStep: make(map[uint32]isa.Reg),
-		pred:     make([]predecoded, predecodeSize),
 	}
+	for i := range c.pred {
+		c.pred[i] = &emptyPredPage
+	}
+	return c
 }
 
 // Boot applies the hart boot convention every machine model shares:
@@ -225,7 +241,9 @@ func (c *CPU) StepInto(ex *Exec) {
 // uncached scratch slot) and is only valid until the next fetch; exec
 // copies what it keeps.
 func (c *CPU) fetch() (*isa.Inst, error) {
-	e := &c.pred[(c.PC>>2)&predecodeMask]
+	i := (c.PC >> 2) & predecodeMask
+	p := c.pred[i>>predPageBits]
+	e := &p[i&predPageMask]
 	gen := c.Mem.CodeGen()
 	if !c.NoPredecode && e.tag == c.PC|1 && e.gen == gen {
 		return &e.inst, nil
@@ -237,6 +255,11 @@ func (c *CPU) fetch() (*isa.Inst, error) {
 	if c.NoPredecode {
 		c.rawInst = in
 		return &c.rawInst, nil
+	}
+	if p == &emptyPredPage {
+		p = new(predPage)
+		c.pred[i>>predPageBits] = p
+		e = &p[i&predPageMask]
 	}
 	*e = predecoded{tag: c.PC | 1, gen: gen, inst: in}
 	return &e.inst, nil

@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"reflect"
 	"testing"
 
 	"diag/internal/isa"
@@ -152,5 +153,54 @@ func TestPredecodeReusedCPUAfterReset(t *testing.T) {
 		if got, want := c.X[10], uint32(in.Imm); got != want {
 			t.Fatalf("step %d: x10 = %d, want %d (stale predecode?)", i, got, want)
 		}
+	}
+}
+
+// TestPredecodePagesOnFirstFill checks that the predecode table
+// allocates a page only when a fill lands in it: a program whose text
+// spans two pages (the jal crosses from 0x1000 to 0x1400, 256 entries
+// on) owns exactly those two, every other slot still points at the
+// shared empty page, and that page is never written. NoPredecode
+// allocates none.
+func TestPredecodePagesOnFirstFill(t *testing.T) {
+	words := map[uint32]isa.Inst{
+		smcText:         {Op: isa.OpADDI, Rd: isa.A0, Rs1: isa.Zero, Imm: 1},
+		smcText + 4:     {Op: isa.OpJAL, Rd: isa.Zero, Imm: 0x400 - 4},
+		smcText + 0x400: {Op: isa.OpEBREAK},
+	}
+	for _, noPredecode := range []bool{false, true} {
+		m := mem.New()
+		for addr, in := range words {
+			w, err := isa.Encode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.StoreWord(addr, w)
+		}
+		c := New(m, smcText)
+		c.NoPredecode = noPredecode
+		var ex Exec
+		for !c.Halted {
+			c.StepInto(&ex)
+		}
+		if c.Err != nil || c.X[isa.A0] != 1 {
+			t.Fatalf("NoPredecode=%v: err %v, a0 = %d", noPredecode, c.Err, c.X[isa.A0])
+		}
+		var private []int
+		for i, p := range c.pred {
+			if p != &emptyPredPage {
+				private = append(private, i)
+			}
+		}
+		want := []int{4, 5} // (0x1000>>2)>>8 and (0x1400>>2)>>8
+		if noPredecode {
+			want = nil
+		}
+		if !reflect.DeepEqual(private, want) {
+			t.Errorf("NoPredecode=%v: private pages %v, want %v", noPredecode, private, want)
+		}
+	}
+	if emptyPredPage != (predPage{}) {
+		t.Fatal("the shared empty predecode page was written")
 	}
 }

@@ -34,12 +34,12 @@ const (
 type Memory struct {
 	pages map[uint32]*[PageSize]byte
 
-	// hints caches the last two pages that page found in the map or
-	// alloc created, newest first. Two entries, not one, because
+	// newest and older cache the last two pages that page found in
+	// the map or alloc created. Two entries, not one, because
 	// kernels stream two arrays at once (x264 reads two frames
 	// alternately, a copy loads one buffer and stores the other), and
 	// one entry would miss on every access.
-	hints [2]pageHint
+	newest, older pageHint
 
 	// Code-write tracking for the predecode caches (internal/iss). The
 	// watched range is the union of every MarkCode call; codeGen
@@ -61,24 +61,28 @@ func New() *Memory {
 // page returns the page holding addr, or nil if no store ever touched
 // it. The page hint answers repeat lookups of two pages without the
 // map. page stays small enough to inline into the load and store paths,
-// which is why a store's first touch is left to alloc.
+// which is why a store's first touch is left to alloc. The hint is two
+// named fields keyed by addr | pageMask, not an array keyed by page
+// index + 1, because the fewer nodes keep LoadByte, which inlines page,
+// within the inliner's budget too; make check verifies both.
 func (m *Memory) page(addr uint32) *[PageSize]byte {
-	key := addr>>pageShift + 1
-	if m.hints[0].key == key {
-		return m.hints[0].page
+	key := addr | pageMask
+	if m.newest.key == key {
+		return m.newest.page
 	}
-	if m.hints[1].key == key {
-		return m.hints[1].page
+	if m.older.key == key {
+		return m.older.page
 	}
-	p := m.pages[key-1]
+	p := m.pages[addr>>pageShift]
 	if p != nil {
 		m.hint(key, p)
 	}
 	return p
 }
 
-// pageHint is one entry of a Memory's page hint. key is the page index
-// plus one, so the zero entry matches no page.
+// pageHint is one entry of a Memory's page hint. key is the address of
+// the page's last byte (addr | pageMask for any addr in it), so the zero
+// entry matches no page.
 type pageHint struct {
 	key  uint32
 	page *[PageSize]byte
@@ -86,8 +90,8 @@ type pageHint struct {
 
 // hint makes p, whose hint key is key, the most recent hint entry.
 func (m *Memory) hint(key uint32, p *[PageSize]byte) {
-	m.hints[1] = m.hints[0]
-	m.hints[0] = pageHint{key, p}
+	m.older = m.newest
+	m.newest = pageHint{key, p}
 }
 
 // alloc allocates the page holding addr, which page found absent: a
@@ -98,7 +102,7 @@ func (m *Memory) alloc(addr uint32) *[PageSize]byte {
 	}
 	p := new([PageSize]byte)
 	m.pages[addr>>pageShift] = p
-	m.hint(addr>>pageShift+1, p)
+	m.hint(addr|pageMask, p)
 	return p
 }
 

@@ -248,7 +248,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.m.inc(mCacheHits, 1)
 		s.m.inc(mSubmitted, 1)
 		s.m.inc(mJobsDone, 1)
-		j.complete(body, nil, true, time.Now())
+		now := time.Now()
+		s.observeJobLatency(j, now)
+		j.complete(body, nil, true, now)
 		s.respondSubmit(w, r, j, http.StatusOK)
 		return
 	}
@@ -341,11 +343,13 @@ func (s *Server) runBatch(batch []*submission) {
 	}
 	s.mu.Unlock()
 
-	// Count before completing: completion releases a ?wait= client,
-	// which may read /metrics at once.
+	// Count and time before completing: completion releases a ?wait=
+	// client, which may read /metrics at once.
 	for _, fill := range fills {
 		s.m.inc(mJobsDone, 1)
-		fill.j.complete(fill.body, nil, true, time.Now())
+		now := time.Now()
+		s.observeJobLatency(fill.j, now)
+		fill.j.complete(fill.body, nil, true, now)
 	}
 	if len(fresh) == 0 {
 		return
@@ -459,8 +463,10 @@ func (s *Server) finishFlight(f *flight, body []byte, err error) {
 }
 
 // observeJobLatency folds the stage durations of a job finishing at now
-// into the latency histograms. Every job reaching it was batched, so its
-// queued time does not depend on whether it is completed yet.
+// into the latency histograms. Every job done, simulated or served from
+// the cache, is observed before it is completed. A batched job's queued
+// time is submit → batch; a job served from the cache at submit was
+// never batched and so reads as queued for 0 ms.
 func (s *Server) observeJobLatency(j *Job, now time.Time) {
 	v := j.View(now)
 	s.m.observe(hQueuedMs, int64(v.Timings.QueuedMs))

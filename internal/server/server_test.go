@@ -589,14 +589,6 @@ func TestResultsNameTheRegistryMachine(t *testing.T) {
 // submit is a distinct program, so every one is a fresh simulation.
 func TestMetricsCountJobBeforeWaitReturns(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	metric := func(text, name string) string {
-		for _, line := range strings.Split(text, "\n") {
-			if f := strings.Fields(line); len(f) == 2 && f[0] == name {
-				return f[1]
-			}
-		}
-		return ""
-	}
 	const n = 200
 	for i := 1; i <= n; i++ {
 		prog, _ := json.Marshal(strings.Replace(testProg, "li x5, 42", fmt.Sprintf("li x5, %d", i), 1))
@@ -612,4 +604,48 @@ func TestMetricsCountJobBeforeWaitReturns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// metric returns the value of the exposition line name in text, or "".
+func metric(text, name string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			return f[1]
+		}
+	}
+	return ""
+}
+
+// TestMetricsTimeCacheServedJobs checks that a job served from the
+// cache is timed like a simulated one, both at submit (a repeat of a
+// finished program) and at batch time (a result that landed while the
+// job was queued): job_total_ms_count keeps up with jobs_done_total.
+func TestMetricsTimeCacheServedJobs(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	counts := func(want string) {
+		t.Helper()
+		_, raw := fetch(t, ts, "/metrics")
+		for _, name := range []string{"diag_server_jobs_done_total", "diag_server_job_total_ms_count"} {
+			if got := metric(string(raw), name); got != want {
+				t.Errorf("%s = %q, want %s", name, got, want)
+			}
+		}
+	}
+	for i, cached := range []bool{false, true} {
+		if code, v := submit(t, ts, runBody(""), true); code != http.StatusOK || v.Cached != cached {
+			t.Fatalf("submit %d: status %d, cached %v, want 200, %v", i, code, v.Cached, cached)
+		}
+	}
+	counts("2")
+
+	sp, err := ParseRequest(strings.NewReader(runBody("")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob("late-hit", sp, time.Now())
+	srv.runBatch([]*submission{{job: j, spec: sp}})
+	if v := j.View(time.Now()); v.State != StateDone || !v.Cached {
+		t.Fatalf("batch-time cache fill: state %q, cached %v", v.State, v.Cached)
+	}
+	counts("3")
 }

@@ -5,6 +5,7 @@ Usage (from the root of a checkout):
 
     python3 scripts/bench.py record kernels batch serve
     python3 scripts/bench.py compare kernels
+    python3 scripts/bench.py compare --base ../base-checkout kernels
 
 Both run the command BENCHMARK.json declares (perfbench/run.py) with
 seed 1 and --trace 0.
@@ -27,6 +28,13 @@ where it is worse by more than the metric's bound in BENCHMARK.json
 comparison is warn-only: a baseline from other hardware, or a shared
 runner, says little about one change. It fails only when the benchmark
 itself fails or reports a wrong output.
+
+compare --base DIR takes its baseline from another checkout (say a git
+worktree at the merge base) on the same host instead: it alternates
+COMPARE_PAIRS short runs of DIR and of this checkout, the side that
+runs first swapping every pair, and sets this checkout's medians
+against DIR's with the same bounds. The committed BENCH_<workload>.json
+stays the trajectory record.
 """
 import argparse
 import json
@@ -37,14 +45,16 @@ import sys
 
 SEED = 1
 COMPARE_SECONDS = 10
+COMPARE_PAIRS = 3
 RECORD_RUNS = 3
 
 
-def run(spec, workload, seconds):
-    """Runs one workload; returns the result line wrapped with its host."""
+def run(spec, workload, seconds, checkout=None):
+    """Runs one workload in checkout (default: this one); returns the
+    result line wrapped with its host."""
     cmd = spec["command"] + ["--workload", workload, "--seed", str(SEED),
                              "--seconds", str(seconds), "--trace", "0"]
-    p = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    p = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=checkout)
     lines = p.stdout.strip().splitlines()
     for line in lines[:-1]:
         print(line, file=sys.stderr)
@@ -120,6 +130,8 @@ def compare(spec, base, new):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("mode", choices=["record", "compare"])
+    ap.add_argument("--base", metavar="DIR",
+                    help="compare: alternate runs with this checkout as the baseline")
     ap.add_argument("workloads", nargs="+")
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
@@ -138,9 +150,18 @@ def main():
         return
     warned = 0
     for w in args.workloads:
-        with open(f"BENCH_{w}.json") as f:
-            base = json.load(f)
-        warned += compare(spec, base, run(spec, w, COMPARE_SECONDS))
+        if args.base:
+            base_runs, new_runs = [], []
+            for i in range(COMPARE_PAIRS):
+                sides = [(base_runs, args.base), (new_runs, None)]
+                for runs, checkout in (sides if i % 2 == 0 else sides[::-1]):
+                    runs.append(run(spec, w, COMPARE_SECONDS, checkout))
+            base, new = summarize(base_runs), summarize(new_runs)
+        else:
+            with open(f"BENCH_{w}.json") as f:
+                base = json.load(f)
+            new = run(spec, w, COMPARE_SECONDS)
+        warned += compare(spec, base, new)
     if warned:
         print(f"bench: {warned} row(s) worse than their bound (warn-only)", file=sys.stderr)
 
