@@ -98,25 +98,27 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) test -run 'TestMarkdownLinks|TestExportedDocComments|TestFencedCommandFlags' .
 
-# Observability smoke: emit a Chrome trace from each machine model and
-# re-validate the files against the trace-event schema subset.
+# Observability smoke: emit a Chrome trace from each machine model,
+# re-validate the files against the trace-event schema subset, and
+# check that -o sends the run report to a file.
 trace-smoke:
-	$(GO) build -o /tmp/diag-trace ./cmd/diag-trace
-	/tmp/diag-trace -kernel pathfinder -machine F4C2 -o /tmp/ring.json -summary
-	/tmp/diag-trace -kernel pathfinder -machine ooo -o /tmp/ooo.json
-	/tmp/diag-trace -validate /tmp/ring.json
-	/tmp/diag-trace -validate /tmp/ooo.json
+	$(GO) build -o /tmp/diag-run ./cmd/diag-run
+	/tmp/diag-run -workload pathfinder -machine F4C2 -trace-out /tmp/ring.json -summary
+	/tmp/diag-run -workload pathfinder -machine ooo -trace-out /tmp/ooo.json -o /tmp/ooo-report.txt
+	test -s /tmp/ooo-report.txt
+	/tmp/diag-run -validate /tmp/ring.json
+	/tmp/diag-run -validate /tmp/ooo.json
 
 # Checkpoint/restore smoke: the stability property (run straight ==
 # save at N/2 + restore + run the rest) on three kernels for each of the
-# three machine models, the snapshot codec suite, and the diag-trace
+# three machine models, the snapshot codec suite, and the diag-run
 # -from-cycle path that exercises checkpointing end to end from a tool.
 snap-smoke:
 	$(GO) test -run 'TestTargetStability/(iss|iss-sb|F4C2|ooo)/(pathfinder|nw|hotspot)' -count=1 -v . | tail -35
 	$(GO) test -count=1 ./internal/snap/
-	$(GO) build -o /tmp/diag-trace ./cmd/diag-trace
-	/tmp/diag-trace -kernel pathfinder -from-cycle 30000 -o /tmp/tail.json
-	/tmp/diag-trace -validate /tmp/tail.json
+	$(GO) build -o /tmp/diag-run ./cmd/diag-run
+	/tmp/diag-run -workload pathfinder -machine F4C2 -from-cycle 30000 -trace-out /tmp/tail.json
+	/tmp/diag-run -validate /tmp/tail.json
 
 # Crash-safety smoke: SIGKILL a journaled fault campaign and a journaled
 # conformance campaign at ~50% completion, resume each from its journal

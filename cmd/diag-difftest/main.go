@@ -37,11 +37,10 @@ import (
 	"strings"
 	"time"
 
+	"diag"
 	"diag/internal/cliutil"
-	"diag/internal/diag"
 	"diag/internal/difftest"
 	"diag/internal/obsv"
-	"diag/internal/ooo"
 )
 
 func main() {
@@ -161,47 +160,24 @@ func writeTraces(ctx context.Context, tr difftest.TrialReport, gen difftest.GenO
 		return err
 	}
 
-	write := func(suffix string, run func(obs obsv.Observer) error) error {
+	write := func(suffix string, t diag.Target) error {
 		col := obsv.NewCollector(0)
-		if err := run(col); err != nil {
+		if _, err := t.Run(img, diag.WithContext(ctx), diag.WithObserver(col)); err != nil {
 			// A divergent program may legitimately fail on one machine;
 			// the partial trace is still worth keeping.
 			fmt.Fprintf(os.Stderr, "diag-difftest: trial %d on %s: %v\n", tr.Trial, suffix, err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("trial-%d-%s.json", tr.Trial, suffix))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := col.WriteChromeTrace(f, obsv.ChromeTraceOptions{UnitNames: []string{suffix}}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if _, err := cliutil.WriteChromeTrace(path, col, obsv.ChromeTraceOptions{UnitNames: []string{suffix}}); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "diag-difftest: wrote %s (%d events)\n", path, col.Total())
 		return nil
 	}
-
-	if err := write("ring", func(obs obsv.Observer) error {
-		mach, err := diag.NewMachine(diag.F4C2(), img)
-		if err != nil {
-			return err
-		}
-		mach.SetObserver(obs)
-		return mach.RunContext(ctx)
-	}); err != nil {
+	if err := write("ring", diag.DiAG(diag.F4C2())); err != nil {
 		return err
 	}
-	return write("ooo", func(obs obsv.Observer) error {
-		mach, err := ooo.NewMachine(ooo.Baseline(), img)
-		if err != nil {
-			return err
-		}
-		mach.SetObserver(obs)
-		return mach.RunContext(ctx)
-	})
+	return write("ooo", diag.OoO(diag.Baseline()))
 }
 
 func fatal(err error) {

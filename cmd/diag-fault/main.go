@@ -169,15 +169,7 @@ func replayWithTrace(ctx context.Context, c *fault.Campaign, rep *fault.Report, 
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := col.WriteChromeTrace(f, obsv.ChromeTraceOptions{UnitNames: []string{rep.Machine}}); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if _, err := cliutil.WriteChromeTrace(path, col, obsv.ChromeTraceOptions{UnitNames: []string{rep.Machine}}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "diag-fault: replayed trial %d (%s -> %s) with tracing: %s (%d events)\n",

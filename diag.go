@@ -23,8 +23,8 @@
 //
 // Every machine — the golden ISS, a DiAG processor, the out-of-order
 // baseline — is a Target built by ISS, DiAG, or OoO, and runs the same
-// way. Runs accept functional options for cancellation, budgets, and
-// tracing, and failures map onto a typed taxonomy (ErrTimeout,
+// way. Runs accept functional options for cancellation, budgets,
+// interrupts, and tracing, and failures map onto a typed taxonomy (ErrTimeout,
 // ErrMaxCycles, ErrMaxInstructions, ErrBadProgram):
 //
 //	res, err := diag.DiAG(cfg).Run(img,
@@ -89,9 +89,6 @@ type Config = idiag.Config
 // Stats are the counters a DiAG run produces.
 type Stats = idiag.Stats
 
-// Machine is a runnable DiAG processor instance.
-type Machine = idiag.Machine
-
 // Stall-source kinds (§7.3.2).
 const (
 	StallMemory  = idiag.StallMemory
@@ -112,9 +109,6 @@ var (
 func MultiRing(cfg Config, rings, clustersPerRing int) Config {
 	return idiag.MultiRing(cfg, rings, clustersPerRing)
 }
-
-// NewMachine builds a DiAG machine loaded with p.
-func NewMachine(cfg Config, p *Program) (*Machine, error) { return idiag.NewMachine(cfg, p) }
 
 // ---- Out-of-order baseline ----
 

@@ -258,7 +258,8 @@ func TestFencedCommandFlags(t *testing.T) {
 }
 
 // auditCommandLine scans one shell line for diag-* invocations and
-// reports any -flag not registered by the named tool.
+// reports any that names no cmd/ tool, and any -flag not registered
+// by the named tool.
 func auditCommandLine(t *testing.T, tools map[string]map[string]bool, file string, lineNo int, line string) {
 	t.Helper()
 	var tool string // current tool, "" until an invocation token is seen
@@ -269,8 +270,11 @@ func auditCommandLine(t *testing.T, tools map[string]map[string]bool, file strin
 			continue
 		}
 		if m := toolToken.FindStringSubmatch(tok); m != nil {
-			if _, known := tools[m[1]]; known {
-				tool = m[1]
+			tool = m[1]
+			if _, known := tools[tool]; !known {
+				t.Errorf("%s:%d: %s is not a tool under cmd/ (command: %s)",
+					file, lineNo, tool, strings.TrimSpace(line))
+				tool = ""
 			}
 			continue
 		}

@@ -34,23 +34,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mach, err := diag.NewMachine(diag.F4C2(), img)
+	// Fire after 10k retired instructions, vectoring to the handler.
+	res, err := diag.DiAG(diag.F4C2()).Run(img, diag.WithInterrupt(10_000, 0x2000))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cpu := mach.Ring(0).CPU()
-	cpu.InterruptAt = 10_000 // fire after 10k retired instructions
-	cpu.InterruptVector = 0x2000
-	if err := mach.Run(); err != nil {
-		log.Fatal(err)
-	}
 
-	st, m := mach.Stats(), mach.Mem()
+	cpu, m := res.CPU, res.Mem
 	fmt.Printf("interrupted at PC 0x%x after %d instructions\n", cpu.EPC, cpu.InterruptAt)
 	fmt.Printf("heartbeat = %d, a0 = %d  (precise: every older instruction retired)\n",
 		m.LoadWord(0x700), cpu.X[10])
 	fmt.Printf("handler marker = 0x%X\n", m.LoadWord(0x704))
-	fmt.Printf("total: %d instructions in %d cycles\n", st.Retired, st.Cycles)
+	fmt.Printf("total: %d instructions in %d cycles\n", res.Retired, res.Cycles)
 	fmt.Println()
 	fmt.Println("The PC lane retires in order like a reorder buffer (§5.1.4):")
 	fmt.Println("the PE at the trap point rewrote the PC lane to the vector, every")

@@ -24,10 +24,12 @@
 // resumes the run journal with the mismatch guard and resume banner, and
 // Interrupted prints the exact command that resumes an interrupted run.
 // LoadProgram gives the simulation tools one way to name their program:
-// a benchmark workload or an assembly file.
+// a benchmark workload or an assembly file, and WriteChromeTrace one way
+// to write a schema-checked Chrome trace.
 package cliutil
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -43,6 +45,7 @@ import (
 	"diag/internal/exp"
 	"diag/internal/journal"
 	"diag/internal/mem"
+	"diag/internal/obsv"
 	"diag/internal/workloads"
 )
 
@@ -167,6 +170,35 @@ func LoadProgram(fs *flag.FlagSet, flagName, name string, p workloads.Params) (i
 	}
 	img, err = asm.Assemble(string(src))
 	return img, fs.Arg(0), nil, err
+}
+
+// WriteChromeTrace exports col's retained events as a Chrome trace
+// (loadable at https://ui.perfetto.dev) to path and returns its entry
+// count. The export is checked with CheckChromeTrace in memory first,
+// so a written file always passes the schema validator.
+func WriteChromeTrace(path string, col *obsv.Collector, opt obsv.ChromeTraceOptions) (int, error) {
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf, opt); err != nil {
+		return 0, err
+	}
+	n, err := CheckChromeTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return 0, fmt.Errorf("internal error: emitted trace fails validation: %w", err)
+	}
+	return n, os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// CheckChromeTrace decodes a Chrome trace from r, validates it against
+// the trace-event schema subset, and returns its entry count.
+func CheckChromeTrace(r io.Reader) (int, error) {
+	doc, err := obsv.DecodeChromeTrace(r)
+	if err != nil {
+		return 0, err
+	}
+	if err := doc.Validate(); err != nil {
+		return 0, err
+	}
+	return len(doc.TraceEvents), nil
 }
 
 // SignalContext derives the campaign tools' graceful-shutdown context:

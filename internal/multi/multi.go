@@ -118,6 +118,9 @@ func (m *Machine[C, S, U]) Mem() *mem.Memory { return m.mem }
 // Unit returns unit i.
 func (m *Machine[C, S, U]) Unit(i int) U { return m.units[i] }
 
+// CPU returns unit i's architectural state.
+func (m *Machine[C, S, U]) CPU(i int) *iss.CPU { return m.units[i].CPU() }
+
 // Units returns how many units the machine has.
 func (m *Machine[C, S, U]) Units() int { return len(m.units) }
 

@@ -1,18 +1,19 @@
 // Package trace records and renders retired-instruction streams from any
 // machine in this repository. All machines execute through the golden
-// ISS, so attaching a Recorder to a CPU's Hook traces DiAG rings and
-// baseline cores alike.
+// ISS, so a Recorder installed as the CPU retirement hook traces the
+// ISS, DiAG rings and baseline cores alike. The public diag.WithTrace
+// run option is the usual way to attach one:
 //
-//	mach, _ := diag.NewMachine(cfg, img)
-//	rec := trace.NewRecorder(1000)
-//	mach.Ring(0).CPU().Hook = rec.Record
-//	mach.Run()
-//	fmt.Print(rec.Format())
+//	res, err := diag.DiAG(cfg).Run(img, diag.WithTrace(os.Stderr), diag.WithTraceDepth(1000))
+//
+// which records every retired instruction (the timing machines' SetHook,
+// the ISS's CPU.Hook) and writes MixSummary and Format once the run
+// ends, failed runs included.
 //
 // A Recorder is an architectural (instruction-level) trace. For
 // cycle-level visibility — cluster loads, lane transfers, pipeline
 // stages, occupancy — attach an internal/obsv Observer to the machine
-// and export a Chrome trace instead.
+// (diag.WithObserver) and export a Chrome trace instead.
 package trace
 
 import (

@@ -8,6 +8,7 @@ import (
 	"diag/internal/bench"
 	"diag/internal/diagerr"
 	"diag/internal/exp"
+	"diag/internal/iss"
 	"diag/internal/obsv"
 )
 
@@ -60,6 +61,8 @@ type runOpts struct {
 	traceDepth int
 	obs        obsv.Observer
 	shards     int
+	irqAt      uint64
+	irqVector  uint32
 }
 
 // WithContext runs the machine under ctx: cancellation aborts the
@@ -136,6 +139,24 @@ func WithObserver(obs Observer) RunOption {
 // (one hart has nothing to shard).
 func WithShards(n int) RunOption {
 	return func(o *runOpts) { o.shards = n }
+}
+
+// WithInterrupt arms a precise interrupt (paper §5.1.4) on hart 0:
+// at the first instruction boundary where its retired count reaches
+// at, control transfers to vector, every older instruction having
+// retired and no younger one having any effect. The interrupted PC is
+// left in Result.CPU.EPC, and the interrupt fires once. at == 0 leaves
+// interrupts off. An interrupt armed when a run was checkpointed is
+// part of the snapshot, so Resume keeps it without this option.
+func WithInterrupt(at uint64, vector uint32) RunOption {
+	return func(o *runOpts) { o.irqAt, o.irqVector = at, vector }
+}
+
+// arm applies WithInterrupt to hart 0's CPU.
+func (o *runOpts) arm(cpu *iss.CPU) {
+	if o.irqAt != 0 {
+		cpu.InterruptAt, cpu.InterruptVector = o.irqAt, o.irqVector
+	}
 }
 
 // applyOptions folds opts into a resolved option set and the run's

@@ -86,10 +86,14 @@ type Result struct {
 	// Mem is the machine's memory, inspectable for results and digests.
 	Mem *Memory
 
-	// Exactly one of the machine-specific views is set.
+	// CPU is hart 0's final architectural state on every target: for
+	// a timing machine, ring 0's or core 0's CPU.
+	CPU *iss.CPU
+
+	// Exactly one of the timing-statistics views is set, and neither
+	// for the ISS.
 	DiAG     *Stats         // DiAG targets
 	Baseline *BaselineStats // OoO targets
-	CPU      *iss.CPU       // ISS targets (final architectural state)
 }
 
 // Snapshot is one machine's complete captured state: architectural
@@ -180,6 +184,7 @@ type timedMachine interface {
 	SetBudgets(maxInst uint64, maxCycles int64)
 	SetObserver(o Observer)
 	SetHook(h func(iss.Exec))
+	CPU(i int) *iss.CPU
 	RunUntil(ctx context.Context, limit uint64) (paused bool, err error)
 	Mem() *mem.Memory
 }
@@ -261,6 +266,7 @@ func (t *timedTarget[M]) drive(opts []RunOption, newMachine func() (M, error)) (
 	}
 	mach.SetShards(o.shards)
 	mach.SetBudgets(o.maxInst, o.maxCycles)
+	o.arm(mach.CPU(0))
 	if o.obs != nil {
 		mach.SetObserver(o.obs)
 	}
@@ -278,7 +284,7 @@ func (t *timedTarget[M]) drive(opts []RunOption, newMachine func() (M, error)) (
 		return nil, runErr
 	}
 	t.last = func() *snap.Snapshot { return t.capture(mach) }
-	res := &Result{Machine: t.name, Done: !paused, Mem: mach.Mem()}
+	res := &Result{Machine: t.name, Done: !paused, Mem: mach.Mem(), CPU: mach.CPU(0)}
 	t.view(mach, res)
 	return res, nil
 }
@@ -350,6 +356,7 @@ const issChunk = 1 << 16
 
 func (t *issTarget) drive(ctx context.Context, o runOpts, cpu *iss.CPU) (*Result, error) {
 	t.cpu = nil
+	o.arm(cpu)
 	var rec *trace.Recorder
 	if o.trace != nil {
 		rec = trace.NewRecorder(o.traceDepth)

@@ -308,3 +308,100 @@ func TestTargetJobForksState(t *testing.T) {
 		t.Fatalf("original target lost its state to the job: %v", err)
 	}
 }
+
+// interruptProgram keeps a heartbeat counter in memory until a precise
+// interrupt vectors it to the handler at 0x2000, which leaves a marker
+// and halts.
+const interruptProgram = `
+	li   a0, 0
+	li   a1, 0x700
+loop:
+	addi a0, a0, 1
+	sw   a0, 0(a1)
+	j    loop
+
+	.org 0x2000
+handler:
+	li   t0, 0xDEAD
+	sw   t0, 4(a1)
+	ebreak
+`
+
+// TestWithInterruptAcrossTargets arms one precise interrupt on every
+// machine kind: each must take it at the same instruction boundary and
+// finish with the golden ISS's registers, retired count and memory —
+// also when the run pauses before the interrupt fires and a snapshot,
+// round-tripped through diag-snap/v1, resumes without the option.
+func TestWithInterruptAcrossTargets(t *testing.T) {
+	img, err := diag.Assemble(interruptProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at, vector = 10_000, 0x2000
+	budget := diag.WithMaxInstructions(2 * at) // a missed interrupt fails fast
+	golden, err := diag.ISS().Run(img, diag.WithInterrupt(at, vector), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !golden.CPU.Trapped || golden.CPU.EPC == 0 || golden.Mem.LoadWord(0x704) != 0xDEAD {
+		t.Fatalf("ISS did not take the interrupt: trapped %v, EPC %#x, marker %#x",
+			golden.CPU.Trapped, golden.CPU.EPC, golden.Mem.LoadWord(0x704))
+	}
+	agree := func(t *testing.T, res *diag.Result) {
+		t.Helper()
+		if !res.Done {
+			t.Fatal("run not done")
+		}
+		if res.CPU.EPC != golden.CPU.EPC || res.CPU.X != golden.CPU.X || res.Retired != golden.Retired {
+			t.Errorf("EPC %#x, retired %d, X %v;\nISS: EPC %#x, retired %d, X %v",
+				res.CPU.EPC, res.Retired, res.CPU.X, golden.CPU.EPC, golden.Retired, golden.CPU.X)
+		}
+		if got, want := res.Mem.Digest(), golden.Mem.Digest(); got != want {
+			t.Errorf("memory digest %#x, ISS %#x", got, want)
+		}
+	}
+	for _, mk := range []func() diag.Target{
+		diag.ISS,
+		func() diag.Target { return diag.DiAG(diag.F4C2()) },
+		func() diag.Target { return diag.OoO(diag.Baseline()) },
+	} {
+		tgt := mk()
+		t.Run(tgt.Name(), func(t *testing.T) {
+			res, err := tgt.Run(img, diag.WithInterrupt(at, vector), budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree(t, res)
+
+			paused, err := tgt.Run(img, diag.WithInterrupt(at, vector), budget, diag.WithRunUntil(at/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paused.Done || paused.CPU.Trapped {
+				t.Fatalf("pause at %d: done %v, trapped %v", at/2, paused.Done, paused.CPU.Trapped)
+			}
+			s, err := tgt.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := s.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, err = diag.DecodeSnapshot(b); err != nil {
+				t.Fatal(err)
+			}
+			res, err = mk().Resume(s, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree(t, res)
+		})
+	}
+
+	// at == 0 leaves interrupts off: the loop never reaches the handler.
+	_, err = diag.ISS().Run(img, diag.WithInterrupt(0, vector), diag.WithMaxInstructions(at))
+	if !errors.Is(err, diag.ErrMaxInstructions) {
+		t.Errorf("WithInterrupt(0, ...) run: err = %v, want ErrMaxInstructions", err)
+	}
+}
