@@ -103,7 +103,6 @@ func main() {
 
 	runner := bench.NewRunner(ctx, bench.Options{
 		Workers:    *core.Parallel,
-		Shards:     *core.Shards,
 		Timeout:    *core.Timeout,
 		OnProgress: progressFunc(*progress),
 		Journal:    jour,

@@ -11,7 +11,9 @@
 //
 // -rings, -prefetch, -shared-fpus and -spec-datapaths apply to DiAG
 // machines only, and -cores > 1 to the ooo baseline only; giving one
-// to the other kind of machine is an error.
+// to the other kind of machine is an error. -shards N spreads a
+// multi-ring or multi-core run across up to N goroutines; the output is
+// byte-identical at any N.
 //
 // The same run can attach the cycle-level observability layer and
 // export what it saw: a Chrome trace-event JSON file loadable at
@@ -70,6 +72,7 @@ func main() {
 	spec := flag.Bool("spec-datapaths", false, "speculatively construct taken-branch target datapaths (paper §7.3.2)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	maxCycles := flag.Int64("max-cycles", 0, "simulated-cycle budget for the run (0 = none)")
+	shards := flag.Int("shards", 0, "spread a multi-ring/multi-core simulation across up to N goroutines (0/1 = serial); results are byte-identical at any value")
 	traceOut := flag.String("trace-out", "", "write the run's cycle-level events here as a Chrome trace (open at https://ui.perfetto.dev)")
 	csvOut := flag.String("csv", "", "write the occupancy timeseries CSV here")
 	summary := flag.Bool("summary", false, "print the event metrics summary after the report")
@@ -166,7 +169,7 @@ func main() {
 	}
 
 	var trace bytes.Buffer
-	opts := []diag.RunOption{diag.WithContext(ctx), diag.WithMaxCycles(*maxCycles), diag.WithShards(*core.Shards)}
+	opts := []diag.RunOption{diag.WithContext(ctx), diag.WithMaxCycles(*maxCycles), diag.WithShards(*shards)}
 	if *traceN > 0 {
 		opts = append(opts, diag.WithTrace(&trace), diag.WithTraceDepth(*traceN))
 	}

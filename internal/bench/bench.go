@@ -8,12 +8,13 @@
 // machine × scale), so generators do not loop inline: they submit jobs
 // to the experiment engine (internal/exp) through a Runner. The engine
 // returns results in submission order, which makes a parallel
-// regeneration byte-identical to a serial one; the package-level
-// functions (Fig9a, …) run serially for strict backward compatibility,
-// while NewRunner unlocks parallelism, cancellation, per-simulation
-// timeouts, and progress reporting.
+// regeneration byte-identical to a serial one. A Runner (NewRunner)
+// carries the worker count, cancellation, per-simulation timeouts,
+// journaling and progress reporting; its methods (Fig9a, …) are the
+// figure generators.
 //
-// Experiment index (see DESIGN.md):
+// Experiment index (see DESIGN.md; the Fig* and StallBreakdown
+// generators are Runner methods):
 //
 //	Table1()        — qualitative stage comparison (§5.3)
 //	Table2()        — hardware configurations
@@ -120,11 +121,6 @@ type Options struct {
 	// Retry re-attempts transient simulation failures (wall-clock
 	// timeouts, panics) with deterministic backoff.
 	Retry exp.Retry
-	// Shards spreads each multi-ring/multi-core simulation across up to
-	// N host goroutines (Machine.SetShards); 0 or 1 runs each
-	// simulation serially. Figures and tables are byte-identical at any
-	// value — sharding changes wall-clock time only.
-	Shards int
 }
 
 // statsPayload is the journal encoding of a simulation result: exactly
@@ -231,55 +227,48 @@ func (r *Runner) run(label string, jobs []exp.Job) ([]exp.Result, error) {
 }
 
 // diagJob builds one DiAG simulation job; its result value is diag.Stats.
-func diagJob(w workloads.Workload, p workloads.Params, cfg diag.Config, shards int) exp.Job {
-	return simJob(w, p, cfg.Name, shards, func(img *mem.Image) (*diag.Machine, error) { return diag.NewMachine(cfg, img) })
+func diagJob(w workloads.Workload, p workloads.Params, cfg diag.Config) exp.Job {
+	return simJob(w, p, cfg.Name, func(img *mem.Image) (*diag.Machine, error) { return diag.NewMachine(cfg, img) })
 }
 
 // oooJob builds one baseline simulation job; its result value is ooo.Stats.
-func oooJob(w workloads.Workload, p workloads.Params, cfg ooo.Config, shards int) exp.Job {
-	return simJob(w, p, cfg.Name, shards, func(img *mem.Image) (*ooo.Machine, error) { return ooo.NewMachine(cfg, img) })
+func oooJob(w workloads.Workload, p workloads.Params, cfg ooo.Config) exp.Job {
+	return simJob(w, p, cfg.Name, func(img *mem.Image) (*ooo.Machine, error) { return ooo.NewMachine(cfg, img) })
 }
 
 // machine is the surface both timing machines share (internal/multi),
 // plus their per-kind statistics S.
 type machine[S any] interface {
-	SetShards(n int)
 	RunContext(ctx context.Context) error
 	Mem() *mem.Memory
 	Stats() S
 }
 
-// simJob builds one simulation job of w on the machine named name; its
-// result value is the machine's statistics.
-func simJob[S any, M machine[S]](w workloads.Workload, p workloads.Params, name string, shards int, build func(*mem.Image) (M, error)) exp.Job {
+// simJob builds one simulation job of w on the machine named name: it
+// runs w on the machine build makes, checks its output, and returns the
+// machine's statistics as the result value.
+func simJob[S any, M machine[S]](w workloads.Workload, p workloads.Params, name string, build func(*mem.Image) (M, error)) exp.Job {
 	return exp.Job{
 		Name: w.Name + "/" + name,
 		Run: func(ctx context.Context) (any, error) {
-			return runOn(ctx, w, p, name, shards, build)
+			var zero S
+			img, err := w.Build(p)
+			if err != nil {
+				return zero, err
+			}
+			mach, err := build(img)
+			if err == nil {
+				err = mach.RunContext(ctx)
+			}
+			if err == nil {
+				err = w.Check(mach.Mem(), p)
+			}
+			if err != nil {
+				return zero, fmt.Errorf("%s on %s: %w", w.Name, name, err)
+			}
+			return mach.Stats(), nil
 		},
 	}
-}
-
-// runOn executes w on the machine build makes, sharded across up to
-// shards goroutines, checks its output, and returns its statistics.
-func runOn[S any, M machine[S]](ctx context.Context, w workloads.Workload, p workloads.Params, name string, shards int, build func(*mem.Image) (M, error)) (S, error) {
-	var zero S
-	img, err := w.Build(p)
-	if err != nil {
-		return zero, err
-	}
-	mach, err := build(img)
-	if err == nil {
-		mach.SetShards(shards)
-		err = mach.RunContext(ctx)
-	}
-	if err == nil {
-		err = w.Check(mach.Mem(), p)
-	}
-	if err != nil {
-		return zero, fmt.Errorf("%s on %s: %w", w.Name, name, err)
-	}
-	return mach.Stats(), nil
 }
 
 // ---- figure generators ----
@@ -295,9 +284,9 @@ func (r *Runner) singleThread(id, title string, suite workloads.Suite, scale int
 	var jobs []exp.Job
 	for _, w := range ws {
 		p := workloads.Params{Scale: scale, Threads: 1}
-		jobs = append(jobs, oooJob(w, p, ooo.Baseline(), r.opt.Shards))
+		jobs = append(jobs, oooJob(w, p, ooo.Baseline()))
 		for _, cfg := range configs {
-			jobs = append(jobs, diagJob(w, p, cfg, r.opt.Shards))
+			jobs = append(jobs, diagJob(w, p, cfg))
 		}
 	}
 	res, err := r.run(id, jobs)
@@ -335,12 +324,12 @@ func (r *Runner) multiThread(id, title string, suite workloads.Suite, scale int)
 	)
 	for _, w := range ws {
 		s := slot{base: len(jobs), simt: -1}
-		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: MultiThreadCores}, baseCfg, r.opt.Shards))
+		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: MultiThreadCores}, baseCfg))
 		s.plain = len(jobs)
-		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings}, diagCfg, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings}, diagCfg))
 		if w.SIMTCapable {
 			s.simt = len(jobs)
-			jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings, SIMT: true}, diagCfg, r.opt.Shards))
+			jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings, SIMT: true}, diagCfg))
 		}
 		slots = append(slots, s)
 	}
@@ -407,7 +396,7 @@ func (r *Runner) Fig11(scale int) (*Figure, error) {
 			return nil, fmt.Errorf("bench: unknown Fig 11 benchmark %q", name)
 		}
 		ws = append(ws, w)
-		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, cfg, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, cfg))
 	}
 	res, err := r.run("Fig 11", jobs)
 	if err != nil {
@@ -449,16 +438,16 @@ func (r *Runner) Fig12(scale int) (*Figure, error) {
 	for _, w := range ws {
 		s := slot{ds: -1}
 		s.b1 = len(jobs)
-		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: 1}, base1, r.opt.Shards))
+		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: 1}, base1))
 		s.d1 = len(jobs)
-		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, single, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, single))
 		s.bn = len(jobs)
-		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: MultiThreadCores}, baseN, r.opt.Shards))
+		jobs = append(jobs, oooJob(w, workloads.Params{Scale: scale, Threads: MultiThreadCores}, baseN))
 		s.dm = len(jobs)
-		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings}, multi, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings}, multi))
 		if w.SIMTCapable {
 			s.ds = len(jobs)
-			jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings, SIMT: true}, multi, r.opt.Shards))
+			jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: MultiThreadRings, SIMT: true}, multi))
 		}
 		slots = append(slots, s)
 	}
@@ -498,7 +487,7 @@ func (r *Runner) StallBreakdown(scale int) (*Figure, error) {
 	ws := workloads.BySuite(workloads.Rodinia)
 	var jobs []exp.Job
 	for _, w := range ws {
-		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, cfg, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, workloads.Params{Scale: scale, Threads: 1}, cfg))
 	}
 	res, err := r.run("§7.3.2", jobs)
 	if err != nil {
@@ -540,14 +529,14 @@ func (r *Runner) ScalingSweep(name string, clusterCounts []int, scale int) (*Fig
 		return nil, fmt.Errorf("bench: unknown workload %q", name)
 	}
 	p := workloads.Params{Scale: scale, Threads: 1}
-	jobs := []exp.Job{oooJob(w, p, ooo.Baseline(), r.opt.Shards)}
+	jobs := []exp.Job{oooJob(w, p, ooo.Baseline())}
 	var cfgs []diag.Config
 	for _, n := range clusterCounts {
 		cfg := diag.F4C32()
 		cfg.Clusters = n
 		cfg.Name = fmt.Sprintf("C%d", n)
 		cfgs = append(cfgs, cfg)
-		jobs = append(jobs, diagJob(w, p, cfg, r.opt.Shards))
+		jobs = append(jobs, diagJob(w, p, cfg))
 	}
 	res, err := r.run("sweep", jobs)
 	if err != nil {
@@ -620,41 +609,6 @@ func Table2() *stats.Table {
 // Table3 renders the paper's Table 3 via the area/power model.
 func Table3() *stats.Table {
 	return power.DiAGArea(diag.F4C32()).Table()
-}
-
-// ---- convenience entry points ----
-
-// RunWorkloadOnce is a convenience for examples and the CLI: run one
-// workload on both machines and return (diag stats, baseline stats).
-func RunWorkloadOnce(name string, p workloads.Params, cfg diag.Config) (diag.Stats, ooo.Stats, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return diag.Stats{}, ooo.Stats{}, fmt.Errorf("bench: unknown workload %q", name)
-	}
-	ctx := context.Background()
-	d, err := runOn(ctx, w, p, cfg.Name, 0, func(img *mem.Image) (*diag.Machine, error) { return diag.NewMachine(cfg, img) })
-	if err != nil {
-		return diag.Stats{}, ooo.Stats{}, err
-	}
-	baseCfg := ooo.Baseline()
-	if p.Threads > 1 {
-		baseCfg = ooo.BaselineMulticore(p.Threads)
-	}
-	b, err := runOn(ctx, w, p, baseCfg.Name, 0, func(img *mem.Image) (*ooo.Machine, error) { return ooo.NewMachine(baseCfg, img) })
-	if err != nil {
-		return diag.Stats{}, ooo.Stats{}, err
-	}
-	return d, b, nil
-}
-
-// BuildImage builds a workload image (for tools that drive machines
-// directly).
-func BuildImage(name string, p workloads.Params) (*mem.Image, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown workload %q", name)
-	}
-	return w.Build(p)
 }
 
 // CSV renders the figure as comma-separated values (one header row,

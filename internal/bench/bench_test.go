@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"diag/internal/diag"
 	"diag/internal/workloads"
 )
 
@@ -197,29 +196,6 @@ func TestTables(t *testing.T) {
 	t3 := Table3().String()
 	if !strings.Contains(t3, "PCLUSTER") || !strings.Contains(t3, "REGLANE") {
 		t.Errorf("Table 3 malformed:\n%s", t3)
-	}
-}
-
-func TestRunWorkloadOnce(t *testing.T) {
-	d, b, err := RunWorkloadOnce("hotspot", workloads.Params{Scale: 1, Threads: 1}, diag.F4C2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Cycles <= 0 || b.Cycles <= 0 {
-		t.Error("stats missing")
-	}
-	if _, _, err := RunWorkloadOnce("nonesuch", workloads.Params{}, diag.F4C2()); err == nil {
-		t.Error("unknown workload should error")
-	}
-}
-
-func TestBuildImage(t *testing.T) {
-	img, err := BuildImage("x264", workloads.Params{Scale: 1, Threads: 1})
-	if err != nil || len(img.Text) == 0 {
-		t.Fatalf("BuildImage: %v", err)
-	}
-	if _, err := BuildImage("nope", workloads.Params{}); err == nil {
-		t.Error("unknown workload should error")
 	}
 }
 

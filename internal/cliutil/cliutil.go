@@ -3,8 +3,6 @@
 // drift between commands:
 //
 //	-parallel N     worker count (0 = GOMAXPROCS)
-//	-shards N       intra-simulation parallelism (0/1 = serial); results
-//	                are byte-identical at any value
 //	-seed N         deterministic seed; equal seeds replay identical runs
 //	-timeout D      wall-clock budget (0 = none)
 //	-o FILE         write primary output to FILE instead of stdout
@@ -55,12 +53,6 @@ type Core struct {
 	// every consumer of the value (exp.Options, fault.Campaign, bench)
 	// already treats as the default.
 	Parallel *int
-	// Shards is the -shards intra-simulation parallelism: each
-	// multi-ring/multi-core simulation spreads across up to N host
-	// goroutines (Machine.SetShards). 0 or 1 runs each simulation
-	// serially; every figure, table, and report is byte-identical at
-	// any value.
-	Shards *int
 	// Seed is the -seed deterministic seed.
 	Seed *int64
 	// Timeout is the -timeout wall-clock budget; 0 means none.
@@ -86,7 +78,6 @@ type Core struct {
 func Flags(fs *flag.FlagSet) *Core {
 	return &Core{
 		Parallel:   fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS); deterministic reports are identical at any value"),
-		Shards:     fs.Int("shards", 0, "spread each multi-ring/multi-core simulation across up to N goroutines (0/1 = serial); results are byte-identical at any value"),
 		Seed:       fs.Int64("seed", 1, "deterministic seed; equal seeds replay identical runs"),
 		Timeout:    fs.Duration("timeout", 0, "wall-clock budget (0 = none)"),
 		Out:        fs.String("o", "", "write primary output to this file instead of stdout"),

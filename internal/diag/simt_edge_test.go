@@ -98,7 +98,7 @@ func TestSIMTRejectsRegionTooLargeForRing(t *testing.T) {
 			large.SIMTRegions, large.SIMTRejects)
 	}
 	// Both paths architecturally identical.
-	if m1.Checksum(0x400, 64) != m2.Checksum(0x400, 64) {
+	if m1.Digest() != m2.Digest() {
 		t.Error("reject and pipeline paths disagree")
 	}
 }

@@ -1,5 +1,12 @@
 package iss
 
+import (
+	"encoding/binary"
+
+	"diag/internal/isa"
+	"diag/internal/wire"
+)
+
 // watchdogDepth is how many recent state snapshots a Watchdog retains.
 // A state-identical loop whose period spans up to watchdogDepth sampling
 // intervals is caught; longer-period runaways fall through to the
@@ -52,30 +59,22 @@ func (w *Watchdog) Stalled(c *CPU, stores uint64) bool {
 // stateHash folds the architectural state into one FNV-1a word.
 // Instret is deliberately excluded (it always advances); stores stands
 // in for the whole memory image, which only the hart's own stores can
-// change in this single-writer model.
+// change in this single-writer model. Each word enters as 8
+// little-endian bytes, gathered in a stack buffer so that sampling
+// never allocates.
 func (c *CPU) stateHash(stores uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
+	var buf [8 * (1 + 2*isa.NumRegs + 2)]byte
+	b := buf[:0]
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.PC))
+	for _, x := range c.X {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
 	}
-	mix(uint64(c.PC))
-	for i := range c.X {
-		mix(uint64(c.X[i]))
+	for _, f := range c.F {
+		b = binary.LittleEndian.AppendUint64(b, uint64(f))
 	}
-	for i := range c.F {
-		mix(uint64(c.F[i]))
-	}
-	mix(stores)
+	b = binary.LittleEndian.AppendUint64(b, stores)
 	if c.Trapped {
-		mix(1)
+		b = binary.LittleEndian.AppendUint64(b, 1)
 	}
-	return h
+	return wire.FNV1a(wire.FNVBasis, b)
 }

@@ -17,12 +17,16 @@ import (
 //   - appending garbage never changes what the prefix decodes to.
 func FuzzScan(f *testing.F) {
 	f.Add([]byte(Schema))
-	f.Add(goldenBytes())
-	f.Add(goldenBytes()[:len(Schema)+30])
-	trailing := append(goldenBytes(), 0xde, 0xad)
-	f.Add(trailing)
+	golden := goldenBytes(f)
+	f.Add(golden)
+	f.Add(golden[:len(Schema)+30])
+	f.Add(append(append([]byte(nil), golden...), 0xde, 0xad))
 	f.Add([]byte("diag-journal/v0 not this version"))
-	f.Add(appendRecord([]byte(Schema), kindManifest, nil))
+	empty, err := appendRecord([]byte(Schema), kindManifest, &struct{}{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, n, err := Scan(b)

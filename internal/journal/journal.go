@@ -20,7 +20,10 @@
 // bytes without panicking (fuzzed like internal/snap); Resume truncates
 // the file to that prefix before appending continues.
 //
-// Record payloads (fixed-order little-endian, like diag-snap/v1):
+// The header and payload of a record are the internal/wire encoding of
+// a frame{Kind, Payload}, and each payload is the wire encoding of one
+// private record struct below, so the field lists of those structs are
+// the format (the same walker derives diag-snap/v1):
 //
 //	manifest  tool string, seed i64, jobs u32, configDigest u64,
 //	          programDigest u64, note string        (first record, once)
@@ -44,6 +47,7 @@ import (
 	"sync"
 
 	"diag/internal/diagerr"
+	"diag/internal/wire"
 )
 
 // Schema identifies the journal format. It is written verbatim at the
@@ -68,6 +72,44 @@ const (
 	kindStarted  uint8 = 3
 	kindDone     uint8 = 4
 	kindFailed   uint8 = 5
+)
+
+// The wire structs of diag-journal/v1: the record frame and one payload
+// struct per kind. Their field lists are the format: a new or moved
+// field needs a schema bump.
+type (
+	// frame is a record's kind byte and u32-length-prefixed payload; a
+	// trailing FNV-1a-64 digest (wire.Seal) covers both.
+	frame struct {
+		Kind    uint8
+		Payload []byte
+	}
+	manifestRecord struct {
+		Tool          string
+		Seed          int64
+		Jobs          uint32
+		ConfigDigest  uint64
+		ProgramDigest uint64
+		Note          string
+	}
+	sweepRecord struct {
+		Ordinal, Jobs uint32
+		Label         string
+	}
+	// jobRecord is a started record and the prefix of done and failed.
+	jobRecord struct {
+		Sweep, Index uint32
+	}
+	doneRecord struct {
+		Job          jobRecord
+		ResultDigest uint64
+		Result       []byte
+	}
+	failedRecord struct {
+		Job   jobRecord
+		Class Class
+		Msg   string
+	}
 )
 
 // Class is the typed error taxonomy a `failed` record carries. It is a
@@ -254,23 +296,9 @@ func (s *State) Failures() []Class {
 	return out
 }
 
-// fnv1a is the 64-bit FNV-1a hash of b (record and result digests).
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
 // DigestBytes returns the FNV-1a-64 digest of b — the hash every
 // journal digest field uses.
-func DigestBytes(b []byte) uint64 { return fnv1a(b) }
+func DigestBytes(b []byte) uint64 { return wire.FNV1a(wire.FNVBasis, b) }
 
 // DigestJSON canonicalizes v via encoding/json (fixed field order for
 // structs) and digests the bytes. Values that cannot marshal fall back
@@ -280,22 +308,20 @@ func DigestJSON(v any) uint64 {
 	if err != nil {
 		b = []byte(fmt.Sprintf("%#v", v))
 	}
-	return fnv1a(b)
+	return DigestBytes(b)
 }
 
-// appendRecord frames one record (kind, payload, trailer digest) onto b.
-func appendRecord(b []byte, kind uint8, payload []byte) []byte {
-	w := &writer{b: b}
-	w.u8(kind)
-	w.u32(uint32(len(payload)))
-	w.b = append(w.b, payload...)
-	w.u64(fnv1a(w.b[len(b):]))
-	return w.b
+// appendRecord frames one record (kind, the wire encoding of the
+// pointer rec, trailer digest) onto b.
+func appendRecord(b []byte, kind uint8, rec any) ([]byte, error) {
+	payload, err := wire.Append(nil, rec)
+	if err != nil {
+		return nil, err
+	}
+	start := len(b)
+	b, err = wire.Append(b, &frame{Kind: kind, Payload: payload})
+	return wire.Seal(b, start), err
 }
-
-// recordMin is the smallest possible record: header (kind + length) and
-// trailer digest with an empty payload.
-const recordMin = 1 + 4 + 8
 
 // Scan recovers the longest valid record prefix of b. It returns the
 // recovered state and the prefix length in bytes; a torn or corrupt
@@ -310,25 +336,15 @@ func Scan(b []byte) (*State, int, error) {
 	haveManifest := false
 	off := len(Schema)
 	for {
-		rest := len(b) - off
-		if rest < recordMin {
-			break
+		var f frame
+		n, err := wire.Decode(b[off:], &f)
+		if err != nil || !wire.Sealed(b[off:], n) {
+			break // a torn tail, bit rot or a torn trailer
 		}
-		kind := b[off]
-		plen := uint32(b[off+1]) | uint32(b[off+2])<<8 | uint32(b[off+3])<<16 | uint32(b[off+4])<<24
-		if uint64(plen) > uint64(rest-recordMin) {
-			break // torn tail: the record was never fully written
-		}
-		end := off + 5 + int(plen)
-		want := uint64(b[end]) | uint64(b[end+1])<<8 | uint64(b[end+2])<<16 | uint64(b[end+3])<<24 |
-			uint64(b[end+4])<<32 | uint64(b[end+5])<<40 | uint64(b[end+6])<<48 | uint64(b[end+7])<<56
-		if fnv1a(b[off:end]) != want {
-			break // bit rot or a torn trailer
-		}
-		if !st.apply(kind, b[off+5:end], &haveManifest) {
+		if !st.apply(f.Kind, f.Payload, &haveManifest) {
 			break // structurally sound but semantically invalid
 		}
-		off = end + 8
+		off += n + 8
 	}
 	if !haveManifest {
 		return nil, 0, fmt.Errorf("%w: no valid manifest record", ErrFormat)
@@ -339,92 +355,92 @@ func Scan(b []byte) (*State, int, error) {
 // apply folds one digest-verified record into the state; false rejects
 // it (ending the valid prefix).
 func (st *State) apply(kind uint8, payload []byte, haveManifest *bool) bool {
-	r := &reader{b: payload}
+	// decode fills rec from the whole payload.
+	decode := func(rec any) bool {
+		n, err := wire.Decode(payload, rec)
+		return err == nil && n == len(payload)
+	}
 	switch kind {
 	case kindManifest:
-		if *haveManifest {
+		var r manifestRecord
+		if *haveManifest || !decode(&r) {
 			return false // a second manifest can only be garbage
 		}
 		st.Manifest = Manifest{
-			Tool:          r.str(),
-			Seed:          r.i64(),
-			Jobs:          int(r.u32()),
-			ConfigDigest:  r.u64(),
-			ProgramDigest: r.u64(),
-			Note:          r.str(),
-		}
-		if r.err != nil || r.off != len(payload) {
-			st.Manifest = Manifest{}
-			return false
+			Tool: r.Tool, Seed: r.Seed, Jobs: int(r.Jobs),
+			ConfigDigest: r.ConfigDigest, ProgramDigest: r.ProgramDigest, Note: r.Note,
 		}
 		*haveManifest = true
 		return true
 	case kindSweep:
-		if !*haveManifest {
+		var r sweepRecord
+		if !*haveManifest || !decode(&r) {
 			return false
 		}
-		ordinal := int(r.u32())
-		jobs := int(r.u32())
-		label := r.str()
-		if r.err != nil || r.off != len(payload) {
-			return false
-		}
+		ordinal, jobs := int(r.Ordinal), int(r.Jobs)
 		// Re-begun sweeps (a resumed resume) repeat their record; it
 		// must agree with the first one.
 		if ordinal < len(st.Sweeps) {
 			sw := st.Sweeps[ordinal]
-			return ordinal == len(st.Sweeps)-1 && sw.Jobs == jobs && sw.Label == label
+			return ordinal == len(st.Sweeps)-1 && sw.Jobs == jobs && sw.Label == r.Label
 		}
 		if ordinal != len(st.Sweeps) {
 			return false // sweeps are strictly sequential
 		}
 		st.Sweeps = append(st.Sweeps, &SweepState{
-			Ordinal: ordinal, Jobs: jobs, Label: label,
+			Ordinal: ordinal, Jobs: jobs, Label: r.Label,
 			Done: map[int][]byte{}, Failed: map[int]Failure{}, started: map[int]bool{},
 		})
 		return true
 	case kindStarted:
+		var r jobRecord
+		if !decode(&r) {
+			return false
+		}
 		sw, i := st.job(r)
-		if sw == nil || r.off != len(payload) {
+		if sw == nil {
 			return false
 		}
 		sw.started[i] = true
 		return true
 	case kindDone:
-		sw, i := st.job(r)
-		digest := r.u64()
-		result := r.bytes()
-		if sw == nil || r.err != nil || r.off != len(payload) || fnv1a(result) != digest {
+		var r doneRecord
+		if !decode(&r) || DigestBytes(r.Result) != r.ResultDigest {
 			return false
 		}
-		sw.Done[i] = result
+		sw, i := st.job(r.Job)
+		if sw == nil {
+			return false
+		}
+		sw.Done[i] = r.Result
 		delete(sw.Failed, i) // a later success supersedes a failure
 		return true
 	case kindFailed:
-		sw, i := st.job(r)
-		class := Class(r.u8())
-		msg := r.str()
-		if sw == nil || r.err != nil || r.off != len(payload) || int(class) >= numClasses {
+		var r failedRecord
+		if !decode(&r) || int(r.Class) >= numClasses {
+			return false
+		}
+		sw, i := st.job(r.Job)
+		if sw == nil {
 			return false
 		}
 		if _, done := sw.Done[i]; !done {
-			sw.Failed[i] = Failure{Class: class, Msg: msg}
+			sw.Failed[i] = Failure{Class: r.Class, Msg: r.Msg}
 		}
 		return true
 	}
 	return false // unknown kind
 }
 
-// job reads the (sweep, index) prefix shared by the per-job records and
-// resolves the sweep; nil when either is out of range.
-func (st *State) job(r *reader) (*SweepState, int) {
-	ordinal := int(r.u32())
-	i := int(r.u32())
-	if r.err != nil || ordinal >= len(st.Sweeps) {
+// job resolves a per-job record's (sweep, index); nil when either is
+// out of range.
+func (st *State) job(r jobRecord) (*SweepState, int) {
+	ordinal, i := int(r.Sweep), int(r.Index)
+	if ordinal >= len(st.Sweeps) {
 		return nil, 0
 	}
 	sw := st.Sweeps[ordinal]
-	if i < 0 || (sw.Jobs > 0 && i >= sw.Jobs) {
+	if sw.Jobs > 0 && i >= sw.Jobs {
 		return nil, 0
 	}
 	return sw, i
@@ -451,16 +467,14 @@ func Create(path string, m Manifest) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{f: f, path: path, manifest: m}
-	w := &writer{b: []byte(Schema)}
-	mp := &writer{}
-	mp.str(m.Tool)
-	mp.i64(m.Seed)
-	mp.u32(uint32(m.Jobs))
-	mp.u64(m.ConfigDigest)
-	mp.u64(m.ProgramDigest)
-	mp.str(m.Note)
-	w.b = appendRecord(w.b, kindManifest, mp.b)
-	if err := j.write(w.b); err != nil {
+	b, err := appendRecord([]byte(Schema), kindManifest, &manifestRecord{
+		Tool: m.Tool, Seed: m.Seed, Jobs: uint32(m.Jobs),
+		ConfigDigest: m.ConfigDigest, ProgramDigest: m.ProgramDigest, Note: m.Note,
+	})
+	if err == nil {
+		err = j.write(b)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -522,10 +536,21 @@ func (j *Journal) write(b []byte) error {
 	return nil
 }
 
-func (j *Journal) appendLocked(kind uint8, payload []byte) error {
+// appendLocked appends one record under the journal's lock; callers
+// that already hold it use writeRecord.
+func (j *Journal) appendLocked(kind uint8, rec any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.write(appendRecord(nil, kind, payload))
+	return j.writeRecord(kind, rec)
+}
+
+// writeRecord frames rec as a kind record and appends it.
+func (j *Journal) writeRecord(kind uint8, rec any) error {
+	b, err := appendRecord(nil, kind, rec)
+	if err != nil {
+		return err
+	}
+	return j.write(b)
 }
 
 // Sweep is the journal's handle for one exp.Run: it carries the prior
@@ -554,11 +579,7 @@ func (j *Journal) BeginSweep(jobs int, label string) (*Sweep, error) {
 		}
 		return &Sweep{j: j, ordinal: ordinal, prior: p}, nil
 	}
-	w := &writer{}
-	w.u32(uint32(ordinal))
-	w.u32(uint32(jobs))
-	w.str(label)
-	if err := j.write(appendRecord(nil, kindSweep, w.b)); err != nil {
+	if err := j.writeRecord(kindSweep, &sweepRecord{Ordinal: uint32(ordinal), Jobs: uint32(jobs), Label: label}); err != nil {
 		return nil, err
 	}
 	return &Sweep{j: j, ordinal: ordinal}, nil
@@ -585,20 +606,12 @@ func (s *Sweep) Wedged() []int {
 
 // Started durably records that job i is about to run.
 func (s *Sweep) Started(i int) error {
-	w := &writer{}
-	w.u32(uint32(s.ordinal))
-	w.u32(uint32(i))
-	return s.j.appendLocked(kindStarted, w.b)
+	return s.j.appendLocked(kindStarted, s.jobRecord(i))
 }
 
 // Done durably records job i's serialized result.
 func (s *Sweep) Done(i int, result []byte) error {
-	w := &writer{}
-	w.u32(uint32(s.ordinal))
-	w.u32(uint32(i))
-	w.u64(fnv1a(result))
-	w.bytes(result)
-	return s.j.appendLocked(kindDone, w.b)
+	return s.j.appendLocked(kindDone, &doneRecord{Job: *s.jobRecord(i), ResultDigest: DigestBytes(result), Result: result})
 }
 
 // Failed durably records job i's failure with its taxonomy class.
@@ -607,12 +620,12 @@ func (s *Sweep) Failed(i int, err error) error {
 	if err != nil {
 		msg = err.Error()
 	}
-	w := &writer{}
-	w.u32(uint32(s.ordinal))
-	w.u32(uint32(i))
-	w.u8(uint8(Classify(err)))
-	w.str(msg)
-	return s.j.appendLocked(kindFailed, w.b)
+	return s.j.appendLocked(kindFailed, &failedRecord{Job: *s.jobRecord(i), Class: Classify(err), Msg: msg})
+}
+
+// jobRecord names job i of this sweep on the wire.
+func (s *Sweep) jobRecord(i int) *jobRecord {
+	return &jobRecord{Sweep: uint32(s.ordinal), Index: uint32(i)}
 }
 
 // Close flushes and closes the journal file. Further appends fail.

@@ -200,7 +200,7 @@ func TestScanCorruption(t *testing.T) {
 	bounds := []int{len(Schema)}
 	for off := len(Schema); off < len(whole); {
 		plen := int(uint32(whole[off+1]) | uint32(whole[off+2])<<8 | uint32(whole[off+3])<<16 | uint32(whole[off+4])<<24)
-		off += recordMin + plen
+		off += 1 + 4 + plen + 8 // kind, length, payload, digest
 		bounds = append(bounds, off)
 	}
 	if bounds[len(bounds)-1] != len(whole) {
@@ -271,28 +271,17 @@ func TestScanCorruption(t *testing.T) {
 // TestScanSemanticRejects covers records that decode but violate journal
 // semantics: they end the valid prefix rather than corrupting state.
 func TestScanSemanticRejects(t *testing.T) {
-	base := []byte(Schema)
-	mp := &writer{}
-	mp.str("t")
-	mp.i64(1)
-	mp.u32(2)
-	mp.u64(0)
-	mp.u64(0)
-	mp.str("")
-	base = appendRecord(base, kindManifest, mp.b)
-
-	sweep := func(ordinal, jobs uint32, label string) []byte {
-		w := &writer{}
-		w.u32(ordinal)
-		w.u32(jobs)
-		w.str(label)
-		return w.b
+	rec := func(b []byte, kind uint8, r any) []byte {
+		out, err := appendRecord(b, kind, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	jobRec := func(ordinal, idx uint32) *writer {
-		w := &writer{}
-		w.u32(ordinal)
-		w.u32(idx)
-		return w
+	manifest := &manifestRecord{Tool: "t", Seed: 1, Jobs: 2}
+	base := rec([]byte(Schema), kindManifest, manifest)
+	sweep := func(b []byte, ordinal uint32) []byte {
+		return rec(b, kindSweep, &sweepRecord{Ordinal: ordinal, Jobs: 2})
 	}
 
 	tests := []struct {
@@ -300,39 +289,31 @@ func TestScanSemanticRejects(t *testing.T) {
 		add  func(b []byte) []byte
 	}{
 		{"second manifest", func(b []byte) []byte {
-			return appendRecord(b, kindManifest, mp.b)
+			return rec(b, kindManifest, manifest)
 		}},
 		{"sweep ordinal skips ahead", func(b []byte) []byte {
-			return appendRecord(b, kindSweep, sweep(1, 2, ""))
+			return sweep(b, 1)
 		}},
 		{"job before any sweep", func(b []byte) []byte {
-			return appendRecord(b, kindStarted, jobRec(0, 0).b)
+			return rec(b, kindStarted, &jobRecord{})
 		}},
 		{"job index out of range", func(b []byte) []byte {
-			b = appendRecord(b, kindSweep, sweep(0, 2, ""))
-			return appendRecord(b, kindStarted, jobRec(0, 2).b)
+			return rec(sweep(b, 0), kindStarted, &jobRecord{Index: 2})
 		}},
 		{"done with bad result digest", func(b []byte) []byte {
-			b = appendRecord(b, kindSweep, sweep(0, 2, ""))
-			w := jobRec(0, 0)
-			w.u64(12345) // not fnv1a("x")
-			w.bytes([]byte("x"))
-			return appendRecord(b, kindDone, w.b)
+			return rec(sweep(b, 0), kindDone, &doneRecord{ResultDigest: 12345, Result: []byte("x")}) // not the digest of "x"
 		}},
 		{"failed with unknown class", func(b []byte) []byte {
-			b = appendRecord(b, kindSweep, sweep(0, 2, ""))
-			w := jobRec(0, 0)
-			w.u8(99)
-			w.str("boom")
-			return appendRecord(b, kindFailed, w.b)
+			return rec(sweep(b, 0), kindFailed, &failedRecord{Class: 99, Msg: "boom"})
 		}},
 		{"unknown record kind", func(b []byte) []byte {
-			return appendRecord(b, 0x7f, nil)
+			return rec(b, 0x7f, &struct{}{})
 		}},
 		{"record with trailing payload bytes", func(b []byte) []byte {
-			w := jobRec(0, 0)
-			w.u8(0xcc)
-			return appendRecord(b, kindStarted, w.b)
+			return rec(b, kindStarted, &struct {
+				Job   jobRecord
+				Extra uint8
+			}{Extra: 0xcc})
 		}},
 	}
 	for _, tc := range tests {
@@ -367,7 +348,7 @@ func TestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -run TestGolden -golden to regenerate): %v", err)
 	}
-	got := goldenBytes()
+	got := goldenBytes(t)
 	if string(got) != string(want) {
 		t.Fatalf("golden journal drifted: %d bytes generated vs %d committed\n"+
 			"the diag-journal/v1 encoding must not change; bump the schema version instead",
@@ -392,49 +373,28 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// goldenBytes builds the golden journal's byte stream from fixed inputs.
-func goldenBytes() []byte {
+// goldenBytes builds the golden journal's byte stream from fixed
+// inputs, through the same record structs the journal writes.
+func goldenBytes(t testing.TB) []byte {
 	b := []byte(Schema)
-	mp := &writer{}
-	mp.str("diag-fault")
-	mp.i64(99)
-	mp.u32(4)
-	mp.u64(0x1234)
-	mp.u64(0x5678)
-	mp.str("hotspot")
-	b = appendRecord(b, kindManifest, mp.b)
-	sp := &writer{}
-	sp.u32(0)
-	sp.u32(4)
-	sp.str("trials")
-	b = appendRecord(b, kindSweep, sp.b)
-	job := func(kind uint8, idx uint32, body func(*writer)) {
-		w := &writer{}
-		w.u32(0)
-		w.u32(idx)
-		if body != nil {
-			body(w)
+	add := func(kind uint8, rec any) {
+		var err error
+		if b, err = appendRecord(b, kind, rec); err != nil {
+			t.Fatal(err)
 		}
-		b = appendRecord(b, kind, w.b)
 	}
-	job(kindStarted, 0, nil)
-	job(kindDone, 0, func(w *writer) {
-		p := []byte(`{"Outcome":"ok"}`)
-		w.u64(fnv1a(p))
-		w.bytes(p)
-	})
-	job(kindStarted, 1, nil)
-	job(kindDone, 1, func(w *writer) {
-		p := []byte(`{"Outcome":"masked"}`)
-		w.u64(fnv1a(p))
-		w.bytes(p)
-	})
-	job(kindStarted, 2, nil)
-	job(kindFailed, 2, func(w *writer) {
-		w.u8(uint8(ClassStalled))
-		w.str("watchdog: no architectural progress")
-	})
-	job(kindStarted, 3, nil)
+	add(kindManifest, &manifestRecord{Tool: "diag-fault", Seed: 99, Jobs: 4, ConfigDigest: 0x1234, ProgramDigest: 0x5678, Note: "hotspot"})
+	add(kindSweep, &sweepRecord{Ordinal: 0, Jobs: 4, Label: "trials"})
+	done := func(idx uint32, result string) {
+		add(kindDone, &doneRecord{Job: jobRecord{Index: idx}, ResultDigest: DigestBytes([]byte(result)), Result: []byte(result)})
+	}
+	add(kindStarted, &jobRecord{Index: 0})
+	done(0, `{"Outcome":"ok"}`)
+	add(kindStarted, &jobRecord{Index: 1})
+	done(1, `{"Outcome":"masked"}`)
+	add(kindStarted, &jobRecord{Index: 2})
+	add(kindFailed, &failedRecord{Job: jobRecord{Index: 2}, Class: ClassStalled, Msg: "watchdog: no architectural progress"})
+	add(kindStarted, &jobRecord{Index: 3})
 	return b
 }
 

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"diag/internal/wire"
 )
 
 const (
@@ -235,22 +237,6 @@ func (m *Memory) StoreBytes(addr uint32, b []byte) {
 	}
 }
 
-// Checksum returns an order-independent-of-allocation FNV-1a hash over
-// the given address range; used by tests to compare final memory states
-// across different machine models.
-func (m *Memory) Checksum(addr, n uint32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := uint32(0); i < n; i++ {
-		h ^= uint64(m.LoadByte(addr + i))
-		h *= prime64
-	}
-	return h
-}
-
 // Footprint returns the number of bytes of backing store allocated.
 func (m *Memory) Footprint() int { return len(m.pages) * PageSize }
 
@@ -261,10 +247,6 @@ func (m *Memory) Footprint() int { return len(m.pages) * PageSize }
 // the fault-injection layer to compare a run's final memory against the
 // golden model's without enumerating address ranges.
 func (m *Memory) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	idxs := make([]uint32, 0, len(m.pages))
 	for idx, p := range m.pages {
 		zero := true
@@ -279,16 +261,12 @@ func (m *Memory) Digest() uint64 {
 		}
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	h := uint64(offset64)
+	h := wire.FNVBasis
+	var le [4]byte
 	for _, idx := range idxs {
-		for i := 0; i < 4; i++ {
-			h ^= uint64(idx >> (8 * i) & 0xFF)
-			h *= prime64
-		}
-		for _, b := range m.pages[idx] {
-			h ^= uint64(b)
-			h *= prime64
-		}
+		binary.LittleEndian.PutUint32(le[:], idx)
+		h = wire.FNV1a(h, le[:])
+		h = wire.FNV1a(h, m.pages[idx][:])
 	}
 	return h
 }

@@ -7,21 +7,17 @@ import (
 
 	"diag/internal/diag"
 	"diag/internal/ooo"
+	"diag/internal/wire"
 )
 
 // reseal returns a copy of b whose trailer is the digest of its body,
 // so a mutated snapshot reaches the parser instead of stopping at the
 // digest check.
 func reseal(b []byte) []byte {
-	c := append([]byte(nil), b...)
-	if len(c) < 8 {
-		return c
+	if len(b) < 8 {
+		return append([]byte(nil), b...)
 	}
-	h := fnv1a(c[:len(c)-8])
-	for i := 0; i < 8; i++ {
-		c[len(c)-8+i] = byte(h >> (8 * i))
-	}
-	return c
+	return wire.Seal(append([]byte(nil), b[:len(b)-8]...), 0)
 }
 
 // FuzzDecode asserts the decoder's safety properties on arbitrary

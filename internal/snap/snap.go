@@ -9,42 +9,31 @@
 //
 //	[12-byte schema string][kind u8][payload][FNV-1a-64 digest u64]
 //
-// The digest covers every byte before it. The payload is derived from
-// the state structs (ISSState, diag.MachineState, ooo.MachineState and
-// every type they contain) by one reflective walker:
-//
-//   - struct fields go in declaration order;
-//   - bool and uint8 take 1 byte; uint32 and int32 take 4; uint64,
-//     int64 and int take 8, little-endian;
-//   - strings and slices take a u32 length, then their bytes or
-//     elements;
-//   - arrays take their elements with no length, and a pointer encodes
-//     what it points to;
-//   - any other kind, and any unexported field, is an error.
-//
-// A state type's field list is therefore part of the format: adding or
-// reordering a field needs a schema bump, and TestGolden fails until it
-// gets one.
+// The digest covers every byte before it. The payload is the
+// internal/wire encoding of the state structs (ISSState,
+// diag.MachineState, ooo.MachineState and every type they contain),
+// derived from their field lists by wire's reflective walker; the wire
+// package doc holds the rules. A state type's field list is therefore
+// part of the format: adding or reordering a field needs a schema
+// bump, and TestGolden fails until it gets one.
 //
 // Encoding is canonical: for any input that Decode accepts,
 // re-encoding the result reproduces the input byte for byte. Decode
-// never panics on arbitrary input — every slice length is checked
-// against the remaining input at the smallest encoding of its element
-// type before allocation — and rejects bad schema strings, digest
-// mismatches, truncation, and trailing garbage with errors wrapping
-// ErrFormat.
+// never panics on arbitrary input, bounds its allocations by the input
+// size, and rejects bad schema strings, digest mismatches,
+// truncation, and trailing garbage with errors wrapping ErrFormat.
 package snap
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 
 	"diag/internal/diag"
 	"diag/internal/iss"
 	"diag/internal/mem"
 	"diag/internal/ooo"
+	"diag/internal/wire"
 )
 
 // Schema identifies the snapshot format. It is exactly 12 bytes and is
@@ -95,20 +84,6 @@ type Snapshot struct {
 	OoO  *ooo.MachineState
 }
 
-// fnv1a is the 64-bit FNV-1a hash of b (the snapshot trailer digest).
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
 // Encode serializes s into one buffer, sized exactly by a first pass
 // over the state. It fails when s.Kind is unknown or the payload field
 // does not match the kind.
@@ -133,16 +108,14 @@ func Encode(s *Snapshot) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("snap: unknown snapshot kind %d", s.Kind)
 	}
-	v := reflect.ValueOf(payload)
-	w := &writer{b: make([]byte, 0, len(Schema)+1+size(v)+8)}
-	w.b = append(w.b, Schema...)
-	w.u8(uint8(s.Kind))
-	w.put(v)
-	if w.err != nil {
-		return nil, w.err
+	b := make([]byte, 0, len(Schema)+1+wire.Size(payload)+8)
+	b = append(b, Schema...)
+	b = append(b, uint8(s.Kind))
+	b, err := wire.Append(b, payload)
+	if err != nil {
+		return nil, err
 	}
-	w.u64(fnv1a(w.b))
-	return w.b, nil
+	return wire.Seal(b, 0), nil
 }
 
 // Decode deserializes a snapshot produced by Encode. It is safe on
@@ -155,11 +128,9 @@ func Decode(b []byte) (*Snapshot, error) {
 	if string(b[:len(Schema)]) != Schema {
 		return nil, fmt.Errorf("%w: schema %q is not %q", ErrFormat, b[:len(Schema)], Schema)
 	}
-	body, trailer := b[:len(b)-8], b[len(b)-8:]
-	want := uint64(trailer[0]) | uint64(trailer[1])<<8 | uint64(trailer[2])<<16 | uint64(trailer[3])<<24 |
-		uint64(trailer[4])<<32 | uint64(trailer[5])<<40 | uint64(trailer[6])<<48 | uint64(trailer[7])<<56
-	if got := fnv1a(body); got != want {
-		return nil, fmt.Errorf("%w: digest %#x does not match contents (%#x)", ErrFormat, want, got)
+	body := b[:len(b)-8]
+	if !wire.Sealed(b, len(body)) {
+		return nil, fmt.Errorf("%w: digest does not match contents", ErrFormat)
 	}
 	s := &Snapshot{Kind: Kind(body[len(Schema)])}
 	var payload any
@@ -173,13 +144,13 @@ func Decode(b []byte) (*Snapshot, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrFormat, s.Kind)
 	}
-	r := &reader{b: body, off: len(Schema) + 1}
-	r.get(reflect.ValueOf(payload).Elem())
-	if r.err != nil {
-		return nil, r.err
+	enc := body[len(Schema)+1:]
+	n, err := wire.Decode(enc, payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after payload", ErrFormat, len(r.b)-r.off)
+	if n != len(enc) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after payload", ErrFormat, len(enc)-n)
 	}
 	return s, nil
 }

@@ -1,26 +1,97 @@
-package snap
+// Package wire is the one binary codec behind the repository's on-disk
+// formats, diag-snap/v1 (internal/snap) and diag-journal/v1
+// (internal/journal). Both derive their payloads from Go structs
+// through one reflective walker, and both seal what they write with the
+// same FNV-1a-64 trailer, so the wire-format decision is made here and
+// nowhere else.
+//
+// The derivation rules:
+//
+//   - struct fields go in declaration order;
+//   - bool and uint8 take 1 byte; uint32 and int32 take 4; uint64,
+//     int64 and int take 8, little-endian;
+//   - strings and slices take a u32 length, then their bytes or
+//     elements; an empty slice decodes as nil;
+//   - arrays take their elements with no length, and a pointer encodes
+//     what it points to;
+//   - any other kind, and any unexported field, is an error.
+//
+// A type's field list is therefore part of every format that encodes
+// it: adding or reordering a field needs that format's schema bump.
+//
+// Decode never panics on arbitrary input: every slice length is checked
+// against the remaining input at the smallest encoding of its element
+// type before allocation, so allocation is bounded by the input size.
+package wire
 
 import (
 	"fmt"
 	"reflect"
 )
 
+// FNVBasis is the FNV-1a-64 offset basis: the digest of no bytes, and
+// the state an FNV1a chain starts from.
+const FNVBasis uint64 = 14695981039346656037
+
+// FNV1a folds b into the FNV-1a-64 state h and returns the new state.
+// FNV1a(FNVBasis, b) is the digest of b, and folding pieces in order
+// gives the digest of their concatenation.
+func FNV1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// Seal appends the little-endian FNV-1a-64 digest of b[from:] to b.
+func Seal(b []byte, from int) []byte {
+	w := writer{b: b}
+	w.u64(FNV1a(FNVBasis, b[from:]))
+	return w.b
+}
+
+// Sealed reports whether the 8 bytes after b[:n] are the digest that
+// Seal appended to b[:n]. It is false when b is too short to hold them.
+func Sealed(b []byte, n int) bool {
+	if n < 0 || len(b)-n < 8 {
+		return false
+	}
+	r := reader{b: b[n : n+8]}
+	return r.u64() == FNV1a(FNVBasis, b[:n])
+}
+
+// Size is the exact length of v's encoding, so that an encoder can
+// allocate its buffer once. A kind Append rejects counts 0.
+func Size(v any) int { return size(reflect.ValueOf(v)) }
+
+// Append appends the encoding of v to b. v is a pointer, so that every
+// array it reaches is addressable. It fails on a type the rules above
+// do not cover and on a nil pointer.
+func Append(b []byte, v any) ([]byte, error) {
+	w := writer{b: b}
+	w.put(reflect.ValueOf(v))
+	return w.b, w.err
+}
+
+// Decode decodes the front of b into what the pointer v points to and
+// returns the number of bytes it read. It fails, without panicking, on
+// input too short for v, on a boolean byte other than 0 or 1, and on a
+// type the rules above do not cover.
+func Decode(b []byte, v any) (int, error) {
+	r := reader{b: b}
+	r.get(reflect.ValueOf(v).Elem())
+	return r.off, r.err
+}
+
 // writer appends fixed-order little-endian fields to a byte slice, with
-// a sticky error for state types the format cannot carry.
+// a sticky error for types the rules cannot carry.
 type writer struct {
 	b   []byte
 	err error
 }
 
 func (w *writer) u8(v uint8) { w.b = append(w.b, v) }
-
-func (w *writer) bl(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
 
 func (w *writer) u32(v uint32) {
 	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -31,19 +102,18 @@ func (w *writer) u64(v uint64) {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// put appends the encoding of v under the package's derivation rules.
+// put appends the encoding of v under the derivation rules.
 func (w *writer) put(v reflect.Value) {
 	if w.err != nil {
 		return
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		w.bl(v.Bool())
+		if v.Bool() {
+			w.u8(1)
+		} else {
+			w.u8(0)
+		}
 	case reflect.Uint8:
 		w.u8(uint8(v.Uint()))
 	case reflect.Uint32:
@@ -55,7 +125,8 @@ func (w *writer) put(v reflect.Value) {
 	case reflect.Int64, reflect.Int:
 		w.u64(uint64(v.Int()))
 	case reflect.String:
-		w.str(v.String())
+		w.u32(uint32(v.Len()))
+		w.b = append(w.b, v.String()...)
 	case reflect.Slice:
 		w.u32(uint32(v.Len()))
 		w.elems(v)
@@ -63,7 +134,7 @@ func (w *writer) put(v reflect.Value) {
 		w.elems(v)
 	case reflect.Pointer:
 		if v.IsNil() {
-			w.err = fmt.Errorf("snap: nil %s", v.Type())
+			w.err = fmt.Errorf("wire: nil %s", v.Type())
 			return
 		}
 		w.put(v.Elem())
@@ -71,18 +142,18 @@ func (w *writer) put(v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Field(i)
 			if !f.CanInterface() { // unexported
-				w.err = fmt.Errorf("snap: %s.%s is unexported", v.Type(), v.Type().Field(i).Name)
+				w.err = fmt.Errorf("wire: %s.%s is unexported", v.Type(), v.Type().Field(i).Name)
 				return
 			}
 			w.put(f)
 		}
 	default:
-		w.err = fmt.Errorf("snap: cannot encode %s", v.Type())
+		w.err = fmt.Errorf("wire: cannot encode %s", v.Type())
 	}
 }
 
 // elems appends the elements of a slice or array, bytes in one copy
-// (Encode starts from a pointer, so every array is addressable).
+// (Append starts from a pointer, so every array is addressable).
 func (w *writer) elems(v reflect.Value) {
 	if v.Type().Elem().Kind() == reflect.Uint8 {
 		w.b = append(w.b, v.Bytes()...)
@@ -93,8 +164,7 @@ func (w *writer) elems(v reflect.Value) {
 	}
 }
 
-// size is the exact length of v's encoding, so that Encode allocates its
-// buffer once. A kind put rejects counts 0; put reports the error.
+// size is the exact length of v's encoding.
 func size(v reflect.Value) int {
 	switch v.Kind() {
 	case reflect.String:
@@ -149,6 +219,30 @@ func fixedSize(t reflect.Type) bool {
 	return true
 }
 
+// minSize is the smallest encoding of a value of type t: the bound
+// count checks a slice length against before allocating.
+func minSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Uint8:
+		return 1
+	case reflect.Uint32, reflect.Int32, reflect.String, reflect.Slice:
+		return 4
+	case reflect.Uint64, reflect.Int64, reflect.Int:
+		return 8
+	case reflect.Array:
+		return t.Len() * minSize(t.Elem())
+	case reflect.Pointer:
+		return minSize(t.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			n += minSize(t.Field(i).Type)
+		}
+		return n
+	}
+	return 0
+}
+
 // reader consumes fixed-order little-endian fields with a sticky error:
 // after the first failure every read returns zero values and the
 // decoder unwinds without touching out-of-bounds memory.
@@ -160,7 +254,7 @@ type reader struct {
 
 func (r *reader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrFormat}, args...)...)
+		r.err = fmt.Errorf(format, args...)
 	}
 }
 
@@ -186,18 +280,6 @@ func (r *reader) u8() uint8 {
 	return b[0]
 }
 
-func (r *reader) bl() bool {
-	switch v := r.u8(); v {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("boolean byte %d is not 0 or 1", v)
-		return false
-	}
-}
-
 func (r *reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
@@ -215,18 +297,9 @@ func (r *reader) u64() uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-func (r *reader) str() string {
-	n := r.u32()
-	if uint64(n) > uint64(len(r.b)-r.off) {
-		r.fail("string of %d bytes overruns input", n)
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-// count reads a slice length and validates that elemMin bytes per
-// element fit in the remaining input, bounding every allocation by the
-// input size.
+// count reads a string or slice length and validates that elemMin bytes
+// per element fit in the remaining input, bounding every allocation by
+// the input size.
 func (r *reader) count(elemMin int) int {
 	n := r.u32()
 	if r.err != nil {
@@ -239,15 +312,19 @@ func (r *reader) count(elemMin int) int {
 	return int(n)
 }
 
-// get decodes into v (settable) under the package's derivation rules.
-// An empty slice decodes as nil.
+// get decodes into v (settable) under the derivation rules.
 func (r *reader) get(v reflect.Value) {
 	if r.err != nil {
 		return
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		v.SetBool(r.bl())
+		switch b := r.u8(); b {
+		case 0, 1:
+			v.SetBool(b == 1)
+		default:
+			r.fail("boolean byte %d is not 0 or 1", b)
+		}
 	case reflect.Uint8:
 		v.SetUint(uint64(r.u8()))
 	case reflect.Uint32:
@@ -259,7 +336,7 @@ func (r *reader) get(v reflect.Value) {
 	case reflect.Int64, reflect.Int:
 		v.SetInt(int64(r.u64()))
 	case reflect.String:
-		v.SetString(r.str())
+		v.SetString(string(r.take(r.count(1))))
 	case reflect.Slice:
 		if n := r.count(max(minSize(v.Type().Elem()), 1)); n > 0 {
 			v.Set(reflect.MakeSlice(v.Type(), n, n))
@@ -293,28 +370,4 @@ func (r *reader) elems(v reflect.Value) {
 	for i := 0; i < v.Len() && r.err == nil; i++ {
 		r.get(v.Index(i))
 	}
-}
-
-// minSize is the smallest encoding of a value of type t: the bound
-// count checks a slice length against before allocating.
-func minSize(t reflect.Type) int {
-	switch t.Kind() {
-	case reflect.Bool, reflect.Uint8:
-		return 1
-	case reflect.Uint32, reflect.Int32, reflect.String, reflect.Slice:
-		return 4
-	case reflect.Uint64, reflect.Int64, reflect.Int:
-		return 8
-	case reflect.Array:
-		return t.Len() * minSize(t.Elem())
-	case reflect.Pointer:
-		return minSize(t.Elem())
-	case reflect.Struct:
-		n := 0
-		for i := 0; i < t.NumField(); i++ {
-			n += minSize(t.Field(i).Type)
-		}
-		return n
-	}
-	return 0
 }
